@@ -4,7 +4,10 @@
 #     byte-for-byte: the sweep's CSV must equal the committed golden
 #     (tests/golden_catalog_learn_off.csv).
 #  2. Learning is deterministic: the default (--learn on) sweep emits the
-#     same bytes whatever the worker count or fault sharding.
+#     same bytes whatever the worker count or fault sharding, and (full
+#     scope) those bytes hash to the committed digest of
+#     `gdf_atpg --all --csv --no-seconds`
+#     (tests/golden_catalog_default.sha256).
 #  3. Learning helps, never loses faults: per circuit the fault total is
 #     unchanged against the --learn off rows, and across the full
 #     catalog the aborted sum does not grow. (Activity-driven decision
@@ -13,7 +16,9 @@
 #     directions; the totals are the invariants. The aborted-sum gate
 #     only holds at catalog scale — the heuristics are tuned for the
 #     abort-heavy big circuits and may cost a few aborts on a small
-#     easy subset — so the small scope checks fault totals only.)
+#     easy subset — so the small scope checks fault totals only.) That
+#     no fault flips between Tested and Untestable is checked per fault
+#     by the test_oracle suite, not here.
 #
 # Registered by tests/CMakeLists.txt as two ctests:
 #   * cli_learning_determinism       — SCOPE=full: the whole catalog at
@@ -22,8 +27,12 @@
 #     fast enough for the ThreadSanitizer CI job (which is what exercises
 #     the clause machinery under -fsanitize=thread).
 #
-# Usage: cmake -DGDF_ATPG=<path> -DGOLDEN=<csv> -DSCOPE=<full|small> -P
-#        check_learning_determinism.cmake
+# Usage: cmake -DGDF_ATPG=<path> -DGOLDEN=<csv> -DSCOPE=<full|small>
+#        [-DDEFAULT_DIGEST=<sha256 file>] -P check_learning_determinism.cmake
+#
+# DEFAULT_DIGEST is required by the full scope. To re-pin it after an
+# intended change of the default rows:
+#   gdf_atpg --all --csv --no-seconds | sha256sum | cut -d' ' -f1
 
 if(SCOPE STREQUAL "small")
   set(circuits --circuit s27 --circuit s298 --circuit c17)
@@ -78,6 +87,18 @@ if(NOT on_j1 STREQUAL on_shard)
                       "=== sequential ===\n${on_j1}\n"
                       "=== sharded ===\n${on_shard}")
 endif()
+if(NOT SCOPE STREQUAL "small")
+  file(READ ${DEFAULT_DIGEST} pinned_digest)
+  string(STRIP "${pinned_digest}" pinned_digest)
+  string(SHA256 on_digest "${on_j1}")
+  if(NOT on_digest STREQUAL pinned_digest)
+    message(FATAL_ERROR "the default catalog rows no longer match the "
+                        "committed digest ${DEFAULT_DIGEST}:\n"
+                        "  expected ${pinned_digest}\n"
+                        "  got      ${on_digest}\n"
+                        "=== default rows ===\n${on_j1}")
+  endif()
+endif()
 
 # --- 3. learning helps, never loses faults ----------------------------------
 string(REPLACE "\n" ";" off_lines "${off_out}")
@@ -124,6 +145,7 @@ if(NOT SCOPE STREQUAL "small" AND on_aborted_sum GREATER off_aborted_sum)
 endif()
 
 message(STATUS "learning determinism holds: --learn off matches the "
-               "golden, default rows are worker/shard independent, fault "
-               "totals are stable; aborted sum ${off_aborted_sum} -> "
+               "golden, default rows are worker/shard independent (and "
+               "match the pinned digest in the full scope), fault totals "
+               "are stable; aborted sum ${off_aborted_sum} -> "
                "${on_aborted_sum}")

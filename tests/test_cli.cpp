@@ -92,6 +92,24 @@ TEST(ArgsTest, RobustExecutionFlags) {
   EXPECT_THROW(parse({"--all", "--journal", "run.j", "--stages"}), Error);
 }
 
+TEST(ArgsTest, WallClockCapIsAnUnknownOption) {
+  // There is no wall-clock cap per fault (--fault-budget caps the work
+  // deterministically): the flag is rejected like any unknown option, a
+  // gdf::Error, which gdf_atpg turns into exit 1.
+  try {
+    parse({"--all", "--per-fault-seconds", "1"});
+    ADD_FAILURE() << "--per-fault-seconds was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Input);
+    EXPECT_NE(std::string(e.what()).find("unknown option '--per-fault-"
+                                         "seconds'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(usage().find("--per-fault-seconds"), std::string::npos);
+  EXPECT_EQ(usage().find("shared"), std::string::npos);
+}
+
 TEST(ArgsTest, RobustFlagsReachTheSweepSpec) {
   const DriverConfig config = parse(
       {"--circuit", "s27", "--on-error", "skip", "--journal", "run.j"});
@@ -129,8 +147,7 @@ TEST(ArgsTest, LearnModeChoices) {
             core::LearnMode::On);
   EXPECT_EQ(parse({"--all", "--learn", "off"}).atpg.learn,
             core::LearnMode::Off);
-  EXPECT_EQ(parse({"--all", "--learn", "shared"}).atpg.learn,
-            core::LearnMode::Shared);
+  EXPECT_THROW(parse({"--all", "--learn", "shared"}), Error);
   EXPECT_THROW(parse({"--all", "--learn", "maybe"}), Error);
   EXPECT_EQ(parse({"--all"}).atpg.learned_limit, 512);
   EXPECT_EQ(parse({"--all", "--learned-limit", "64"}).atpg.learned_limit,

@@ -170,14 +170,6 @@ TEST(FogbusterOptions, StemOnlyFaultListIsSmaller) {
   EXPECT_EQ(r.faults.size(), 34u);
 }
 
-TEST(FogbusterOptions, PerFaultTimeCapAborts) {
-  AtpgOptions opts;
-  opts.per_fault_seconds = 1e-9;  // everything times out immediately
-  opts.fault_dropping = false;
-  const FogbusterResult r = run_delay_atpg(circuits::make_s27(), opts);
-  EXPECT_EQ(r.aborted(), static_cast<int>(r.faults.size()));
-}
-
 TEST(ReportTest, Table3Formatting) {
   Table3Row row{"s27", 39, 11, 0, 163, 0.4};
   const std::string header = table3_header();
