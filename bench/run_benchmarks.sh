@@ -219,6 +219,9 @@ search_core = {
     "lbd_le2": 0,
     "lbd_3_6": 0,
     "lbd_gt6": 0,
+    "reentries": 0,
+    "reentry_failures": 0,
+    "reentry_root_refuted": 0,
 }
 for m in re.finditer(
         r"search core\s+implications (\d+), trail pushes (\d+), pops (\d+)",
@@ -226,6 +229,14 @@ for m in re.finditer(
     search_core["implications"] += int(m.group(1))
     search_core["trail_pushes"] += int(m.group(2))
     search_core["trail_pops"] += int(m.group(3))
+# Re-entry outcomes: how many TDgen re-entries failed, and how many of
+# those the base search's root state refuted without building a search.
+for m in re.finditer(
+        r"TDgen re-entries\s+(\d+) \(failed (\d+), refuted at root (\d+)\)",
+        stages_text):
+    search_core["reentries"] += int(m.group(1))
+    search_core["reentry_failures"] += int(m.group(2))
+    search_core["reentry_root_refuted"] += int(m.group(3))
 for m in re.finditer(
         r"verification probes\s+(\d+) \(cone-scoped (\d+), full (\d+)\)",
         stages_text):

@@ -1,6 +1,7 @@
 #include "core/fogbuster.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "base/error.hpp"
 #include "base/rng.hpp"
@@ -66,6 +67,7 @@ void StageStats::add(const StageStats& other) {
   prop_failures += other.prop_failures;
   reentries += other.reentries;
   reentry_failures += other.reentry_failures;
+  reentry_root_refuted += other.reentry_root_refuted;
   sync_attempts += other.sync_attempts;
   sync_failures += other.sync_failures;
   verify_rejections += other.verify_rejections;
@@ -78,6 +80,51 @@ void StageStats::add(const StageStats& other) {
 }
 
 namespace {
+
+/// The fast-frame boundary of one local solution — the handoff of paper
+/// §6: steady clean values are known, carriers are the fault effect,
+/// everything else is fixed-but-unknown (assignable only via TDgen
+/// re-entry) — together with the PPO pins a re-entry over it inherits.
+struct Boundary {
+  sim::StateVec state;
+  std::vector<bool> assignable;
+  std::vector<std::size_t> needed;  ///< the Known bits, ascending
+  std::vector<tdgen::PpoPin> effect_pins;  ///< FaultD/FaultDbar carriers
+  std::vector<tdgen::PpoPin> known_pins;   ///< Known0/Known1 steady values
+};
+
+Boundary classify_boundary(const LocalTest& local) {
+  const std::size_t n_ff = local.ppo_sets.size();
+  Boundary b;
+  b.state.assign(n_ff, Lv::X);
+  b.assignable.assign(n_ff, false);
+  for (std::size_t k = 0; k < n_ff; ++k) {
+    switch (tdgen::classify_ppo(local.ppo_sets[k])) {
+      case PpoKind::Known0:
+        b.state[k] = Lv::Zero;
+        b.needed.push_back(k);
+        b.known_pins.push_back({k, alg::vset_of(alg::V8::Zero)});
+        break;
+      case PpoKind::Known1:
+        b.state[k] = Lv::One;
+        b.needed.push_back(k);
+        b.known_pins.push_back({k, alg::vset_of(alg::V8::One)});
+        break;
+      case PpoKind::FaultD:
+        b.state[k] = Lv::D;
+        b.effect_pins.push_back({k, alg::vset_of(alg::V8::RiseC)});
+        break;
+      case PpoKind::FaultDbar:
+        b.state[k] = Lv::Dbar;
+        b.effect_pins.push_back({k, alg::vset_of(alg::V8::FallC)});
+        break;
+      case PpoKind::Unknown:
+        b.assignable[k] = true;
+        break;
+    }
+  }
+  return b;
+}
 
 /// Twin good/faulty replay of the propagation frames with only the given
 /// state bits defined: true when a PO still definitely differs, i.e. the
@@ -235,6 +282,7 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
   } tally_scope{{}, stages};
 
   semilet::Budget budget(options_.sequential);
+  const sim::SeqSimulator twin_sim(ctx_->flat());
   tdgen::TdgenOptions local_options = options_.local;
   local_options.tally = &tally_scope.tally;
   local_options.learn = options_.learn != LearnMode::Off;
@@ -271,37 +319,20 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
     }
     ++stages->ppo_observed;
 
-    // Boundary after the fast frame: the handoff of paper §6 — steady
-    // clean values are known, carriers are the fault effect, everything
-    // else is fixed-but-unknown (assignable only via TDgen re-entry).
-    const std::size_t n_ff = ctx_->netlist().dffs().size();
-    sim::StateVec boundary(n_ff, Lv::X);
-    std::vector<bool> assignable(n_ff, false);
-    std::vector<std::size_t> needed;
-    for (std::size_t k = 0; k < n_ff; ++k) {
-      switch (tdgen::classify_ppo(local.ppo_sets[k])) {
-        case PpoKind::Known0:
-          boundary[k] = Lv::Zero;
-          needed.push_back(k);
-          break;
-        case PpoKind::Known1:
-          boundary[k] = Lv::One;
-          needed.push_back(k);
-          break;
-        case PpoKind::FaultD:
-          boundary[k] = Lv::D;
-          break;
-        case PpoKind::FaultDbar:
-          boundary[k] = Lv::Dbar;
-          break;
-        case PpoKind::Unknown:
-          assignable[k] = true;
-          break;
-      }
-    }
+    const Boundary boundary = classify_boundary(local);
+    // Re-entry root refutation (see TdgenSearch::root_refutes): the
+    // fault-effect pins are shared by every candidate of this solution.
+    // refuted_lit[2k + b] caches a refuted single requirement "PPO k = b";
+    // by monotonicity any requirement set containing it is refuted too.
+    local_search.push_root_level(boundary.effect_pins);
+    std::vector<std::uint8_t> refuted_lit(2 * boundary.state.size(), 0);
+    const auto lit_index = [](const tdgen::PpoPin& pin) {
+      return 2 * pin.dff_index +
+             (pin.allowed == alg::vset_of(alg::V8::One) ? 1 : 0);
+    };
 
     semilet::Propagator propagator(ctx_->flat(), budget);
-    propagator.start(boundary, assignable);
+    propagator.start(boundary.state, boundary.assignable);
     semilet::PropagationOutcome outcome;
     for (;;) {
       check_cancel();
@@ -322,13 +353,47 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
       // not part of the invalidation set either).
       const LocalTest* effective = &local;
       LocalTest reentered;
-      std::vector<std::size_t> relied = needed;
+      std::vector<std::size_t> relied = boundary.needed;
       if (!outcome.boundary_requirements.empty()) {
         ++stages->reentries;
-        const sim::SeqSimulator twin_sim(ctx_->flat());
-        const bool known_needed = !propagation_works_without_known(
-            twin_sim, boundary, outcome.boundary_requirements,
-            outcome.frames);
+        std::vector<tdgen::PpoPin> required;
+        for (const auto& [ff, v] : outcome.boundary_requirements) {
+          required.push_back(
+              {ff, alg::vset_of(v == Lv::One ? alg::V8::One : alg::V8::Zero)});
+        }
+        // A re-entry whose pins conflict at the root would fail in start()
+        // before any decision or budget charge, so refuting it here moves
+        // no verdict. The pins without the Known bits are a subset of the
+        // pins with them, so this weaker check runs first and the twin
+        // replay only for candidates that survive it.
+        bool refuted = std::any_of(
+            required.begin(), required.end(),
+            [&](const tdgen::PpoPin& pin) {
+              return refuted_lit[lit_index(pin)] != 0;
+            });
+        if (!refuted && local_search.root_refutes(required)) {
+          refuted = true;
+          if (required.size() == 1) {
+            refuted_lit[lit_index(required[0])] = 1;
+          }
+        }
+        bool known_needed = false;
+        if (!refuted) {
+          known_needed = !propagation_works_without_known(
+              twin_sim, boundary.state, outcome.boundary_requirements,
+              outcome.frames);
+          if (known_needed) {
+            std::vector<tdgen::PpoPin> with_known = boundary.known_pins;
+            with_known.insert(with_known.end(), required.begin(),
+                              required.end());
+            refuted = local_search.root_refutes(with_known);
+          }
+        }
+        if (refuted) {
+          ++stages->reentry_failures;
+          ++stages->reentry_root_refuted;
+          continue;  // next propagation candidate
+        }
         if (!known_needed) {
           relied.clear();
         }
@@ -343,32 +408,25 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
         reentry_options.init_donor = &local_search.engine();
         tdgen::TdgenSearch reentry(ctx_->model(), *algebra_, fault,
                                    reentry_options);
-        for (std::size_t k = 0; k < n_ff; ++k) {
-          switch (tdgen::classify_ppo(local.ppo_sets[k])) {
-            case PpoKind::Known0:
-              if (known_needed) {
-                reentry.pin_ppo(k, alg::vset_of(alg::V8::Zero));
-              }
-              break;
-            case PpoKind::Known1:
-              if (known_needed) {
-                reentry.pin_ppo(k, alg::vset_of(alg::V8::One));
-              }
-              break;
-            case PpoKind::FaultD:
-              reentry.pin_ppo(k, alg::vset_of(alg::V8::RiseC));
-              break;
-            case PpoKind::FaultDbar:
-              reentry.pin_ppo(k, alg::vset_of(alg::V8::FallC));
-              break;
-            case PpoKind::Unknown:
-              break;
-          }
+        // Boundary pins in DFF order, then the requirements: the order
+        // fixes the root trail and with it the first budget charge.
+        std::vector<tdgen::PpoPin> pins;
+        if (known_needed) {
+          std::merge(boundary.known_pins.begin(), boundary.known_pins.end(),
+                     boundary.effect_pins.begin(), boundary.effect_pins.end(),
+                     std::back_inserter(pins),
+                     [](const tdgen::PpoPin& a, const tdgen::PpoPin& b) {
+                       return a.dff_index < b.dff_index;
+                     });
+        } else {
+          pins = boundary.effect_pins;
         }
-        for (const auto& [ff, v] : outcome.boundary_requirements) {
-          reentry.pin_ppo(ff, alg::vset_of(v == Lv::One ? alg::V8::One
-                                                        : alg::V8::Zero));
-          relied.push_back(ff);
+        pins.insert(pins.end(), required.begin(), required.end());
+        for (const tdgen::PpoPin& pin : pins) {
+          reentry.pin_ppo(pin.dff_index, pin.allowed);
+        }
+        for (const tdgen::PpoPin& pin : required) {
+          relied.push_back(pin.dff_index);
         }
         switch (reentry.next(&reentered)) {
           case tdgen::TdgenStatus::Aborted:

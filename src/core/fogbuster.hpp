@@ -53,6 +53,8 @@ struct StageStats {
   long prop_failures = 0;      ///< propagation exhausted for a local test
   long reentries = 0;          ///< TDgen re-entries with pinned PPOs
   long reentry_failures = 0;
+  /// … of which refuted on the local search's root state without a search
+  long reentry_root_refuted = 0;
   long sync_attempts = 0;
   long sync_failures = 0;
   long verify_rejections = 0;  ///< candidates rejected by end-to-end check

@@ -51,7 +51,8 @@ std::string format_stage_stats(const StageStats& s) {
      << "  propagation attempts   " << s.prop_attempts << " (exhausted "
      << s.prop_failures << ")\n"
      << "  TDgen re-entries       " << s.reentries << " (failed "
-     << s.reentry_failures << ")\n"
+     << s.reentry_failures << ", refuted at root " << s.reentry_root_refuted
+     << ")\n"
      << "  synchronizations       " << s.sync_attempts << " (failed "
      << s.sync_failures << ")\n"
      << "  verify rejections      " << s.verify_rejections << "\n"

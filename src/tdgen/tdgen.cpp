@@ -78,6 +78,21 @@ void TdgenSearch::require_observation(NodeId obs_node) {
   required_obs_ = obs_node;
 }
 
+namespace {
+
+/// Narrows every pinned PPO on `engine`; false at the first conflict.
+bool assign_pins(const alg::AtpgModel& model, ImplicationEngine* engine,
+                 std::span<const PpoPin> pins) {
+  for (const PpoPin& pin : pins) {
+    if (!engine->assign(model.ppo_node(pin.dff_index), pin.allowed)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 bool TdgenSearch::apply_root_constraints(ImplicationEngine* engine) const {
   // Activation: the site must expose the carrier of the targeted
   // transition.
@@ -86,10 +101,8 @@ bool TdgenSearch::apply_root_constraints(ImplicationEngine* engine) const {
   if (!engine->assign(spec_.site, carrier)) {
     return false;
   }
-  for (const PpoPin& pin : pins_) {
-    if (!engine->assign(model_->ppo_node(pin.dff_index), pin.allowed)) {
-      return false;
-    }
+  if (!assign_pins(*model_, engine, pins_)) {
+    return false;
   }
   if (required_obs_.has_value() &&
       !engine->assign(*required_obs_, kCarrierSet)) {
@@ -691,26 +704,56 @@ bool TdgenSearch::conflict_backtrack() {
   return maybe_restart();
 }
 
-std::uint32_t TdgenSearch::minimize_learned(std::uint32_t lbd) {
-  if (minimize_engine_ == nullptr && !minimize_engine_failed_) {
-    // The scratch engine reproduces this search's root state (post-init
+ImplicationEngine* TdgenSearch::root_engine() {
+  if (root_engine_ == nullptr && !root_engine_failed_) {
+    // The root engine reproduces this search's root state (post-init
     // fixpoint + activation/pins/required-observation) and never learns
     // clauses, so its narrowings are pure rule replay — exactly what the
-    // minimization proof needs.
-    auto scratch = std::make_unique<ImplicationEngine>(*model_, *algebra_);
-    if (!scratch->init_from(engine_, spec_)) {
-      scratch->init(spec_);
+    // minimization and refutation proofs need.
+    auto root = std::make_unique<ImplicationEngine>(*model_, *algebra_);
+    if (!root->init_from(engine_, spec_)) {
+      root->init(spec_);
     }
-    if (scratch->conflict() || !apply_root_constraints(scratch.get())) {
-      minimize_engine_failed_ = true;  // cannot happen after start(); safety
+    if (root->conflict() || !apply_root_constraints(root.get())) {
+      root_engine_failed_ = true;  // cannot happen after start(); safety
     } else {
-      minimize_engine_ = std::move(scratch);
+      root_engine_ = std::move(root);
     }
   }
-  if (minimize_engine_ == nullptr) {
+  return root_engine_.get();
+}
+
+void TdgenSearch::push_root_level(std::span<const PpoPin> pins) {
+  GDF_ASSERT(started_, "push_root_level before the search started");
+  ImplicationEngine* root = root_engine();
+  if (root == nullptr) {
+    return;
+  }
+  root->push_level();
+  assign_pins(*model_, root, pins);  // a conflict stays until the pop
+}
+
+bool TdgenSearch::root_refutes(std::span<const PpoPin> pins) {
+  GDF_ASSERT(started_, "root_refutes before the search started");
+  ImplicationEngine* root = root_engine();
+  if (root == nullptr) {
+    return false;
+  }
+  if (root->conflict()) {
+    return true;  // the pushed levels alone conflict
+  }
+  root->push_level();
+  const bool refuted = !assign_pins(*model_, root, pins);
+  root->pop_level();
+  return refuted;
+}
+
+std::uint32_t TdgenSearch::minimize_learned(std::uint32_t lbd) {
+  ImplicationEngine* root = root_engine();
+  if (root == nullptr) {
     return lbd;
   }
-  const int removed = minimize_engine_->minimize_nogood(&analysis_.lits);
+  const int removed = root->minimize_nogood(&analysis_.lits);
   if (removed <= 0) {
     return lbd;
   }
@@ -740,6 +783,12 @@ TdgenStatus TdgenSearch::exhausted_status() const {
 }
 
 TdgenStatus TdgenSearch::next(LocalTest* out) {
+  // Minimization replays on the bare root: drop any refutation levels.
+  if (root_engine_ != nullptr) {
+    while (root_engine_->depth() > 0) {
+      root_engine_->pop_level();
+    }
+  }
   if (aborted_) {
     return TdgenStatus::Aborted;
   }

@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -162,6 +163,12 @@ struct TdgenOptions {
   const base::ClauseArena* seed_clauses = nullptr;
 };
 
+/// A PPO line constrained to a value set (see TdgenSearch::pin_ppo).
+struct PpoPin {
+  std::size_t dff_index;
+  alg::VSet allowed;
+};
+
 enum class TdgenStatus {
   TestFound,   ///< *out holds a verified local test; call next() to resume
   Untestable,  ///< search space exhausted: robustly untestable locally
@@ -197,6 +204,27 @@ class TdgenSearch {
   /// propagation justification re-entry). Call before the first next().
   void pin_ppo(std::size_t dff_index, alg::VSet allowed);
 
+  // --- Root refutation of re-entries --------------------------------------
+  //
+  // A re-entry is a search over this fault with extra PPO pins. Its root
+  // state is this search's root state narrowed by the pins, so it fails in
+  // start() — Untestable before its first decision or budget charge —
+  // exactly when the pins conflict with this search's root state at
+  // fixpoint. The implication rules are monotone, so that conflict does
+  // not depend on the order the pins are applied in, and it can be tested
+  // on one settled root engine (the one nogood minimization replays on)
+  // instead of building the re-entry. Every level pushed here is popped
+  // when next() resumes. Call only after next() returned a test.
+
+  /// Opens a level on the root engine holding `pins` — the constraints a
+  /// batch of root_refutes() calls share.
+  void push_root_level(std::span<const PpoPin> pins);
+
+  /// True when the pushed levels plus `pins` conflict at fixpoint, i.e. a
+  /// re-entry pinned to all of them would fail in start(). Leaves the
+  /// pushed levels as they were.
+  bool root_refutes(std::span<const PpoPin> pins);
+
   /// Requires the fault effect to be observed at this node (e.g. the PPO
   /// the propagation phase starts from). Call before the first next().
   void require_observation(alg::NodeId obs_node);
@@ -213,11 +241,6 @@ class TdgenSearch {
     alg::VSet rest;
   };
 
-  struct PpoPin {
-    std::size_t dff_index;
-    alg::VSet allowed;
-  };
-
   struct CheckOutcome {
     alg::TwoFrameStimulus stimulus;
     /// Simulated PPO sets, indexed by DFF — the only simulation output a
@@ -229,8 +252,11 @@ class TdgenSearch {
   bool start();
   /// Level-0 constraints of this fault: carrier activation at the site,
   /// PPO pins, required observation. Factored out of start() so the
-  /// minimization scratch engine can reproduce the root state exactly.
+  /// root engine can reproduce the root state exactly.
   bool apply_root_constraints(ImplicationEngine* engine) const;
+  /// The lazily built root engine, or nullptr when it cannot be settled
+  /// (only when start() itself failed).
+  ImplicationEngine* root_engine();
   /// Pops every decision level but keeps clauses, probe memos, activities
   /// and saved phases; the next descent re-decides under the learned
   /// ordering. Returns false when the root state itself is conflicted.
@@ -321,10 +347,12 @@ class TdgenSearch {
   /// primary splits retry the phase that survived deepest before falling
   /// back to the static vset_first choice. 0 = no phase saved.
   std::vector<alg::VSet> saved_phase_;
-  /// Lazily built engine for replay minimization, seeded from engine_'s
+  /// Lazily built engine settled at this search's root state: engine_'s
   /// post-init snapshot plus the root constraints, never given clauses.
-  std::unique_ptr<ImplicationEngine> minimize_engine_;
-  bool minimize_engine_failed_ = false;
+  /// Replay minimization runs on it at depth 0; re-entry refutation
+  /// pushes levels on it between next() calls.
+  std::unique_ptr<ImplicationEngine> root_engine_;
+  bool root_engine_failed_ = false;
   long learned_ = 0;
   long backjump_levels_skipped_ = 0;
   long restarts_ = 0;

@@ -13,7 +13,9 @@
 // The configurations are the deterministic search modes: the
 // chronological pre-learning search, and conflict-driven learning with
 // and without Luby restarts (restarts only act when learning is on, so
-// off x luby would repeat the first row).
+// off x luby would repeat the first row) — plus the default search under
+// a per-fault work budget (--fault-budget), whose aborts cut the local
+// search and its re-entries at a deterministic point.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -31,12 +33,15 @@ struct SearchSetting {
   const char* name;
   LearnMode learn;
   tdgen::RestartPolicy restarts;
+  long fault_budget = 0;  ///< 0 = unlimited
 };
 
 constexpr SearchSetting kSettings[] = {
     {"learn off", LearnMode::Off, tdgen::RestartPolicy::Off},
     {"learn on, restarts off", LearnMode::On, tdgen::RestartPolicy::Off},
     {"learn on, restarts luby", LearnMode::On, tdgen::RestartPolicy::Luby},
+    {"learn on, restarts luby, fault_budget 5000", LearnMode::On,
+     tdgen::RestartPolicy::Luby, 5000},
 };
 
 const char* status_name(FaultStatus status) {
@@ -69,6 +74,7 @@ TEST_P(VerdictOracle, TestedReverifiesAndNoSettingRefutesAnother) {
     AtpgOptions options = base;
     options.learn = setting.learn;
     options.local.restarts = setting.restarts;
+    options.fault_budget = setting.fault_budget;
     const Fogbuster flow(ctx, options);
     std::vector<FaultStatus>& row = verdicts.emplace_back();
     long rejected = 0;

@@ -461,6 +461,97 @@ TEST(ConflictDrivenSearch, ClauseDatabaseStaysBounded) {
   EXPECT_GT(tally.clause_reductions, 0);
 }
 
+TEST(RootRefutation, RefutedPinsFailBeforeAnyDecision) {
+  // A re-entry (a search over the same fault with PPO pins) conflicts at
+  // its root exactly when its pins conflict with the base search's root
+  // state at fixpoint. The cases mirror the flow's re-entries: the first
+  // local solution's fault-effect pins as the shared level, then single
+  // boundary literals on every unknown PPO and paired ones on the first
+  // few, without and with the Known pins. Every refuted set must make a
+  // fresh search — pins applied in reverse order, so order independence
+  // is checked too — return Untestable before its first decision.
+  long refuted = 0;
+  long survived = 0;
+  for (const char* name : {"s27", "s208", "s298", "s386", "s641"}) {
+    const net::Netlist nl =
+        net::expand_fanout_branches(circuits::load_circuit(name));
+    const AtpgModel model(nl);
+    for (const DelayFault& f : enumerate_faults(nl)) {
+      TdgenSearch search(model, robust_algebra(), f);
+      LocalTest local;
+      if (search.next(&local) != TdgenStatus::TestFound) {
+        continue;
+      }
+      std::vector<PpoPin> effect;
+      std::vector<PpoPin> known;
+      std::vector<std::size_t> unknown;
+      for (std::size_t k = 0; k < local.ppo_sets.size(); ++k) {
+        switch (classify_ppo(local.ppo_sets[k])) {
+          case PpoKind::Known0:
+            known.push_back({k, alg::vset_of(V8::Zero)});
+            break;
+          case PpoKind::Known1:
+            known.push_back({k, alg::vset_of(V8::One)});
+            break;
+          case PpoKind::FaultD:
+            effect.push_back({k, alg::vset_of(V8::RiseC)});
+            break;
+          case PpoKind::FaultDbar:
+            effect.push_back({k, alg::vset_of(V8::FallC)});
+            break;
+          case PpoKind::Unknown:
+            unknown.push_back(k);
+            break;
+        }
+      }
+      // Pairs only on the first unknowns keep the sweep to a few seconds.
+      constexpr std::size_t kPairedUnknowns = 3;
+      std::vector<std::vector<PpoPin>> literals = {{}};
+      const VSet values[] = {alg::vset_of(V8::Zero), alg::vset_of(V8::One)};
+      for (std::size_t u = 0; u < unknown.size(); ++u) {
+        for (const VSet a : values) {
+          literals.push_back({{unknown[u], a}});
+          if (u + 1 == unknown.size() || u + 1 >= kPairedUnknowns) {
+            continue;
+          }
+          for (const VSet b : values) {
+            literals.push_back({{unknown[u], a}, {unknown[u + 1], b}});
+          }
+        }
+      }
+      search.push_root_level(effect);
+      for (const std::vector<PpoPin>& lits : literals) {
+        for (const bool with_known : {false, true}) {
+          std::vector<PpoPin> extra =
+              with_known ? known : std::vector<PpoPin>{};
+          extra.insert(extra.end(), lits.begin(), lits.end());
+          if (!search.root_refutes(extra)) {
+            ++survived;
+            continue;
+          }
+          ++refuted;
+          TdgenOptions options;
+          options.shared_cone = &search.sorted_cone();
+          options.init_donor = &search.engine();
+          TdgenSearch fresh(model, robust_algebra(), f, options);
+          extra.insert(extra.end(), effect.begin(), effect.end());
+          for (auto it = extra.rbegin(); it != extra.rend(); ++it) {
+            fresh.pin_ppo(it->dff_index, it->allowed);
+          }
+          LocalTest ignored;
+          ASSERT_EQ(fresh.next(&ignored), TdgenStatus::Untestable)
+              << name << " " << fault_name(nl, f);
+          ASSERT_EQ(fresh.decisions(), 0)
+              << name << " " << fault_name(nl, f);
+        }
+      }
+    }
+  }
+  // Vacuity guard: both outcomes must occur.
+  EXPECT_GT(refuted, 0);
+  EXPECT_GT(survived, 0);
+}
+
 TEST(TdgenNonRobust, RelaxedModeFindsAtLeastAsMany) {
   const net::Netlist nl =
       net::expand_fanout_branches(circuits::make_s27());
