@@ -205,6 +205,7 @@ search_core = {
     "probe_runs": 0,
     "probe_cone": 0,
     "probe_full": 0,
+    "probe_resettles": 0,
     "conflicts": 0,
     "learned_clauses": 0,
     "clause_hits": 0,
@@ -237,12 +238,16 @@ for m in re.finditer(
     search_core["reentries"] += int(m.group(1))
     search_core["reentry_failures"] += int(m.group(2))
     search_core["reentry_root_refuted"] += int(m.group(3))
+# Register re-settles: probes whose pruned PPI finals differed from the
+# cached ones and needed a second, small replay.
 for m in re.finditer(
-        r"verification probes\s+(\d+) \(cone-scoped (\d+), full (\d+)\)",
+        r"verification probes\s+(\d+) \(cone-scoped (\d+), full (\d+), "
+        r"register re-settles (\d+)\)",
         stages_text):
     search_core["probe_runs"] += int(m.group(1))
     search_core["probe_cone"] += int(m.group(2))
     search_core["probe_full"] += int(m.group(3))
+    search_core["probe_resettles"] += int(m.group(4))
 # Conflict-driven-search counters (the learning PR): how often the engine
 # conflicted, what it learned, and what the learning saved.
 for m in re.finditer(

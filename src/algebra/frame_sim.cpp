@@ -146,6 +146,65 @@ void TwoFrameSim::rerun_sources(
   }
 }
 
+RegisterSettle TwoFrameSim::settle_registers(TwoFrameStimulus& stimulus,
+                                             const FaultSpec* fault,
+                                             std::vector<VSet>& node_sets,
+                                             bool warm) const {
+  const AtpgModel& m = *model_;
+  std::vector<VSet>& ppi_sets = stimulus.ppi_sets;
+  GDF_ASSERT(ppi_sets.size() == m.ppis().size(),
+             "PPI stimulus size mismatch");
+  if (!warm) {
+    run(stimulus, fault, node_sets);
+    settled_ppis_ = ppi_sets;
+  } else {
+    GDF_ASSERT(stimulus.pi_sets.size() == m.pis().size(),
+               "PI stimulus size mismatch");
+    source_changes_.clear();
+    for (std::size_t i = 0; i < m.pis().size(); ++i) {
+      source_changes_.emplace_back(m.pis()[i], stimulus.pi_sets[i]);
+    }
+    settled_ppis_.resize(ppi_sets.size());
+    for (std::size_t k = 0; k < ppi_sets.size(); ++k) {
+      // The guess keeps the PPI's initials, so the PPO initials it settles
+      // are those of the unpruned stimulus; a guess that would drop an
+      // initial falls back to the unpruned set.
+      const VSet guess = vset_with_final_in(
+          ppi_sets[k], vset_finals(node_sets[m.ppis()[k]]));
+      settled_ppis_[k] = vset_initials(guess) == vset_initials(ppi_sets[k])
+                             ? guess
+                             : ppi_sets[k];
+      source_changes_.emplace_back(m.ppis()[k], settled_ppis_[k]);
+    }
+    rerun_sources(source_changes_, fault, node_sets);
+  }
+  // Round n prunes against the PPO initials of run(S_n) — the reference
+  // iteration. When the PPI initials are kept (always, for PPIs that allow
+  // every final) the second round finds nothing left to prune.
+  RegisterSettle result;
+  for (;;) {
+    source_changes_.clear();
+    for (std::size_t k = 0; k < ppi_sets.size(); ++k) {
+      const VSet pruned = vset_with_final_in(
+          ppi_sets[k], vset_initials(node_sets[m.ppo_node(k)]));
+      if (pruned == kEmptySet) {
+        result.consistent = false;
+        return result;
+      }
+      ppi_sets[k] = pruned;
+      if (pruned != settled_ppis_[k]) {
+        settled_ppis_[k] = pruned;
+        source_changes_.emplace_back(m.ppis()[k], pruned);
+      }
+    }
+    if (source_changes_.empty()) {
+      return result;
+    }
+    rerun_sources(source_changes_, fault, node_sets);
+    ++result.resettles;
+  }
+}
+
 std::uint64_t TwoFrameSim::forced_sweep(std::span<const VSet> baseline,
                                         std::span<const ForcedLane> lanes,
                                         std::span<VSet> stop_values) const {

@@ -34,6 +34,15 @@ struct TwoFrameStimulus {
   std::vector<VSet> ppi_sets;  ///< one per FF, Netlist::dffs() order
 };
 
+/// Outcome of TwoFrameSim::settle_registers.
+struct RegisterSettle {
+  /// False when some PPI has no register-consistent value left.
+  bool consistent = true;
+  /// Replays after the first pass: rounds whose pruned PPI finals differed
+  /// from the sets the previous pass had settled.
+  int resettles = 0;
+};
+
 /// Builds the {0,1,R,F} subset compatible with the given frame bits
 /// (-1 = unknown). Used to encode concrete (V1, V2) pairs.
 VSet vset_primary_from_frames(int initial_bit, int final_bit);
@@ -89,6 +98,28 @@ class TwoFrameSim {
                      const FaultSpec* fault,
                      std::vector<VSet>& node_sets) const;
 
+  /// The register fixpoint of a two-frame pass. A PPI's final-frame value
+  /// is produced by the register from its PPO's initial-frame value, so
+  /// each PPI's finals in `stimulus.ppi_sets` are pruned to the initials
+  /// its PPO can take, until stable. On return the stimulus holds the
+  /// pruned sets and `node_sets` exactly run() of them — unless the result
+  /// is inconsistent, in which case both are unspecified (`node_sets` is
+  /// still a settled pass under some stimulus).
+  ///
+  /// `warm` reuses `node_sets`, a settled pass under `fault`, and usually
+  /// settles in one replay: an initial-frame value depends only on the
+  /// initial-frame values of its sources, so the PPO initials — and with
+  /// them the pruned finals — do not depend on which finals the PPIs hold
+  /// as long as their initials are kept. The replay therefore guesses each
+  /// PPI's finals from the sets `node_sets` already holds (the previous
+  /// pruned ones), prunes against that, and replays again only the PPIs
+  /// whose pruned set differs from the guess. Otherwise a full run() of the
+  /// unpruned stimulus comes first.
+  RegisterSettle settle_registers(TwoFrameStimulus& stimulus,
+                                  const FaultSpec* fault,
+                                  std::vector<VSet>& node_sets,
+                                  bool warm) const;
+
   /// One what-if scenario of a batched stem sweep: `node`'s value set is
   /// replaced by `set` before its fanout is evaluated. When `stop` names a
   /// node, the scenario's propagation is truncated there and its value at
@@ -135,6 +166,10 @@ class TwoFrameSim {
   /// that own this simulator). The worklist resets in O(previous wave),
   /// so replays carry no per-call O(nodes) cost.
   mutable sim::BitQueue work_;
+  /// settle_registers scratch: the PPI sets the current pass settled, and
+  /// the source changes handed to rerun_sources.
+  mutable std::vector<VSet> settled_ppis_;
+  mutable std::vector<std::pair<NodeId, VSet>> source_changes_;
   mutable std::vector<std::uint64_t> packed_;
   mutable std::vector<std::uint64_t> lane_dirty_;
   mutable std::vector<std::uint64_t> lane_forced_;

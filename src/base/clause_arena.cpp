@@ -13,6 +13,7 @@ std::size_t ClauseArena::add(std::span<const ClauseLit> lits,
   offsets_.push_back(pool_.size());
   lbd_.push_back(lbd);
   activity_.push_back(0.0);
+  ++tier_counts_[static_cast<std::size_t>(tier_of(lbd))];
   return index;
 }
 

@@ -71,6 +71,10 @@ class ClauseArena {
   }
 
   std::uint32_t lbd(std::size_t clause) const { return lbd_[clause]; }
+  /// Clauses currently in `tier` (kept up to date by add).
+  std::size_t tier_count(ClauseTier tier) const {
+    return tier_counts_[static_cast<std::size_t>(tier)];
+  }
   double activity(std::size_t clause) const { return activity_[clause]; }
   void bump_activity(std::size_t clause, double inc) {
     activity_[clause] += inc;
@@ -91,6 +95,7 @@ class ClauseArena {
   std::vector<std::size_t> offsets_ = {0};
   std::vector<std::uint32_t> lbd_;
   std::vector<double> activity_;
+  std::size_t tier_counts_[3] = {0, 0, 0};
 };
 
 }  // namespace gdf::base

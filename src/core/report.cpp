@@ -76,7 +76,8 @@ std::string format_stage_stats(const StageStats& s) {
      << ", 3-6 " << s.search.lbd_3_6 << ", >6 " << s.search.lbd_gt6 << "\n"
      << "  verification probes    " << s.search.probe_runs
      << " (cone-scoped " << s.search.probe_cone << ", full "
-     << s.search.probe_full << ")\n"
+     << s.search.probe_full << ", register re-settles "
+     << s.search.probe_resettles << ")\n"
      << "  probe memo             hits " << s.search.probe_memo_hits << "\n"
      << "  sim kernel evals       scalar " << s.sim.scalar_evals
      << ", w64 " << s.sim.lane_evals_64 << ", w256 "

@@ -33,6 +33,8 @@ bool body_has_controlling(GateType type, Lv* controlling) {
   }
 }
 
+constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
 }  // namespace
 
 FramePodem::FramePodem(const sim::SeqSimulator& sim, Budget& budget,
@@ -59,6 +61,11 @@ void FramePodem::simulate() {
     sim_->eval_frame(pis_, state_, lines_, injection);
     lines_ready_ = true;
     changed_sources_.clear();
+    effects_.clear();
+    effect_slot_.assign(lines_.size(), kNoSlot);
+    for (GateId id = 0; id < lines_.size(); ++id) {
+      track_effect(id);
+    }
     return;
   }
   if (changed_sources_.empty()) {
@@ -81,6 +88,7 @@ void FramePodem::simulate() {
       continue;
     }
     lines_[line] = v;
+    track_effect(line);
     for (const std::uint32_t reader : fc.readers(line)) {
       work_.push(reader);
     }
@@ -88,17 +96,27 @@ void FramePodem::simulate() {
   }
   changed_sources_.clear();
   if (any) {
-    sim_->resettle_frame(lines_, work_, injection);
+    sim_->resettle_frame(lines_, work_, injection, &effect_flips_);
+    for (const GateId line : effect_flips_) {
+      track_effect(line);
+    }
+    effect_flips_.clear();
   }
 }
 
-bool FramePodem::any_fault_effect() const {
-  for (const Lv v : lines_) {
-    if (sim::is_fault_effect(v)) {
-      return true;
-    }
+void FramePodem::track_effect(GateId line) {
+  const bool effect = sim::is_fault_effect(lines_[line]);
+  std::uint32_t& slot = effect_slot_[line];
+  if (effect && slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(effects_.size());
+    effects_.push_back(line);
+  } else if (!effect && slot != kNoSlot) {
+    const GateId moved = effects_.back();
+    effects_[slot] = moved;
+    effect_slot_[moved] = slot;
+    effects_.pop_back();
+    slot = kNoSlot;
   }
-  return false;
 }
 
 bool FramePodem::success() const {
@@ -158,12 +176,10 @@ bool FramePodem::hopeless() const {
     std::fill(seen_.begin(), seen_.end(), 0);
     seen_epoch_ = 1;
   }
-  bfs_.clear();
-  for (GateId id = 0; id < nl_->size(); ++id) {
-    if (sim::is_fault_effect(lines_[id])) {
-      bfs_.push_back(id);
-      seen_[id] = seen_epoch_;
-    }
+  // The answer is reachability, so seeding in set order is exact.
+  bfs_.assign(effects_.begin(), effects_.end());
+  for (const GateId id : bfs_) {
+    seen_[id] = seen_epoch_;
   }
   if (bfs_.empty()) {
     if (request_.activation_line != net::kNoGate &&
@@ -215,31 +231,22 @@ bool FramePodem::choose_objective(GateId* line, Lv* value) const {
     }
     return false;
   }
-  // D-frontier: gate with X output and a fault effect on an input; pick the
-  // one closest to an observation point, then set one X input to the
-  // non-controlling (sensitizing) value.
+  // D-frontier: gate with X output and a fault effect on an input — a
+  // reader of some effect line; pick the one closest to an observation
+  // point (lowest id on ties), then set one X input to the non-controlling
+  // (sensitizing) value.
   const std::span<const int> obs_distance = sim_->flat()->obs_distance();
   GateId best = net::kNoGate;
-  for (GateId id = 0; id < nl_->size(); ++id) {
-    const net::Gate& g = nl_->gate(id);
-    if (g.type == GateType::Input || g.type == GateType::Dff) {
-      continue;
-    }
-    if (lines_[id] != Lv::X) {
-      continue;
-    }
-    bool has_effect = false;
-    for (const GateId driver : g.fanin) {
-      if (sim::is_fault_effect(lines_[driver])) {
-        has_effect = true;
-        break;
+  for (const GateId effect : effects_) {
+    for (const GateId id : nl_->gate(effect).fanout) {
+      const GateType type = nl_->gate(id).type;
+      if (type == GateType::Dff || lines_[id] != Lv::X) {
+        continue;
       }
-    }
-    if (!has_effect) {
-      continue;
-    }
-    if (best == net::kNoGate || obs_distance[id] < obs_distance[best]) {
-      best = id;
+      if (best == net::kNoGate || obs_distance[id] < obs_distance[best] ||
+          (obs_distance[id] == obs_distance[best] && id < best)) {
+        best = id;
+      }
     }
   }
   if (best == net::kNoGate) {

@@ -15,6 +15,7 @@
 // phases can reject one and ask for another (inter-phase backtracking).
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -77,7 +78,9 @@ class FramePodem {
   };
 
   void simulate();
-  bool any_fault_effect() const;
+  /// Re-syncs `line`'s membership in the fault-effect set with its value.
+  void track_effect(net::GateId line);
+  bool any_fault_effect() const { return !effects_.empty(); }
   bool success() const;
   bool hopeless() const;
   bool choose_objective(net::GateId* line, sim::Lv* value) const;
@@ -101,6 +104,14 @@ class FramePodem {
   std::vector<std::pair<bool, std::size_t>> changed_sources_;
   sim::BitQueue work_;
   bool lines_ready_ = false;
+  /// The lines holding D/D', unordered, with each line's
+  /// slot in effects_ (kNoSlot when absent) so insert and erase are O(1).
+  /// Maintained from the boundary writes and the resettle's effect flips,
+  /// so hopeless() and choose_objective() start from the few effect lines
+  /// instead of scanning the netlist every iteration.
+  std::vector<net::GateId> effects_;
+  std::vector<std::uint32_t> effect_slot_;
+  std::vector<net::GateId> effect_flips_;
   /// Reused X-path scratch (hopeless() runs every search iteration).
   /// seen_ is epoch-stamped so a call costs O(reached), not O(circuit).
   mutable std::vector<std::uint32_t> seen_;

@@ -53,7 +53,9 @@ void SeqSimulator::eval_frame(std::span<const Lv> pis,
 
 void SeqSimulator::resettle_frame(std::vector<Lv>& line_values,
                                   BitQueue& work,
-                                  const Injection* injection) const {
+                                  const Injection* injection,
+                                  std::vector<net::GateId>* effect_flips)
+    const {
   const FlatCircuit& fc = *fc_;
   const LvOps ops;
   const net::GateId site = injection != nullptr && injection->active()
@@ -70,6 +72,10 @@ void SeqSimulator::resettle_frame(std::vector<Lv>& line_values,
     }
     if (v == line_values[out]) {
       continue;
+    }
+    if (effect_flips != nullptr &&
+        is_fault_effect(v) != is_fault_effect(line_values[out])) {
+      effect_flips->push_back(out);
     }
     line_values[out] = v;
     for (const std::uint32_t reader : fc.readers(out)) {

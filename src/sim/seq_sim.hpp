@@ -63,8 +63,12 @@ class SeqSimulator {
   /// lines' readers() into `work`. Replays only the affected body cones;
   /// the result is exactly eval_frame() over the updated boundary. The
   /// worklist is caller-owned scratch so the simulator stays shareable.
+  /// `effect_flips`, if given, receives every body line whose value
+  /// changed between a fault effect (D/D') and a non-effect — the upkeep
+  /// of an incremental D-frontier, at the cost of one compare per change.
   void resettle_frame(std::vector<Lv>& line_values, BitQueue& work,
-                      const Injection* injection = nullptr) const;
+                      const Injection* injection = nullptr,
+                      std::vector<net::GateId>* effect_flips = nullptr) const;
 
   /// Next-state vector implied by settled line values (value at each DFF's
   /// data pin).

@@ -367,19 +367,9 @@ std::size_t ImplicationEngine::reduce_clauses(std::size_t keep_target) {
 }
 
 void ImplicationEngine::tier_sizes(long* core, long* mid, long* local) const {
-  for (std::size_t c = 0; c < arena_.size(); ++c) {
-    switch (base::ClauseArena::tier_of(arena_.lbd(c))) {
-      case base::ClauseTier::Core:
-        ++*core;
-        break;
-      case base::ClauseTier::Mid:
-        ++*mid;
-        break;
-      case base::ClauseTier::Local:
-        ++*local;
-        break;
-    }
-  }
+  *core += static_cast<long>(arena_.tier_count(base::ClauseTier::Core));
+  *mid += static_cast<long>(arena_.tier_count(base::ClauseTier::Mid));
+  *local += static_cast<long>(arena_.tier_count(base::ClauseTier::Local));
 }
 
 int ImplicationEngine::minimize_nogood(std::vector<base::ClauseLit>* lits) {

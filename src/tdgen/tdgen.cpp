@@ -254,8 +254,8 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
   stimulus.pi_sets = pi_sets;
   // The PPI final-frame component is produced by the register from the PPO
   // values of the initial frame, so it is derived, never assumed: starting
-  // with all finals allowed, repeatedly prune each PPI's finals to the
-  // initial values its PPO can take under the current stimulus. The
+  // with all finals allowed, the register fixpoint prunes each PPI's finals
+  // to the initial values its PPO can take under the stimulus. The
   // fixpoint from the wide side over-approximates every real execution,
   // which makes the observation check sound for all don't-care fills.
   stimulus.ppi_sets.reserve(model_->ppis().size());
@@ -264,62 +264,28 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
         alg::vset_with_initial_in(alg::kPrimaryDomain, inits));
   }
 
-  // Cone-scoped probe: probe_base_ keeps the previous probe's settled
-  // pre-fixpoint state, so each probe replays only the cones of the
-  // sources that differ from it — rerun_sources is exactly equivalent to
-  // a fresh full pass, which is what the first probe (and only it) runs.
+  // Cone-scoped probe: probe_sets_ keeps the previous probe's settled
+  // post-fixpoint state, so each probe replays only the cones of the
+  // sources that differ from it, in one replay unless the pruned PPI
+  // finals differ from the previous probe's. Exactly equivalent to a fresh
+  // full pass plus fixpoint, which is what the first probe (and only it)
+  // runs.
   ++probe_counters_.probe_runs;
-  std::vector<std::pair<NodeId, VSet>> diffs;
-  diffs.reserve(model_->pis().size() + model_->ppis().size());
-  const auto all_sources = [&](std::vector<std::pair<NodeId, VSet>>* out_d) {
-    out_d->clear();
-    for (std::size_t i = 0; i < model_->pis().size(); ++i) {
-      out_d->emplace_back(model_->pis()[i], stimulus.pi_sets[i]);
-    }
-    for (std::size_t k = 0; k < model_->ppis().size(); ++k) {
-      out_d->emplace_back(model_->ppis()[k], stimulus.ppi_sets[k]);
-    }
-  };
-  if (!probe_ready_) {
-    sim_.run(stimulus, &spec_, probe_base_);
-    probe_sets_ = probe_base_;
+  const alg::RegisterSettle settled =
+      sim_.settle_registers(stimulus, &spec_, probe_sets_, probe_ready_);
+  if (probe_ready_) {
+    ++probe_counters_.probe_cone;
+  } else {
     probe_ready_ = true;
     ++probe_counters_.probe_full;
-  } else {
-    all_sources(&diffs);
-    sim_.rerun_sources(diffs, &spec_, probe_base_);
-    ++probe_counters_.probe_cone;
   }
-
-  // The register fixpoint: round n prunes each PPI's finals against the
-  // PPO initials of run(S_n), exactly the reference iteration — but both
-  // states evolve incrementally. Round 1 reads the base; as soon as a
-  // prune applies, the pruned source vector is resettled onto the
-  // *persistent* post-fixpoint cache (probe_sets_), whose sources carry
-  // the previous probe's pruned values and therefore barely differ.
-  const std::vector<VSet>* sim_view = &probe_base_;
-  for (;;) {
-    bool pruned_any = false;
-    for (std::size_t k = 0; k < model_->ppis().size(); ++k) {
-      const VSet ppo = (*sim_view)[model_->ppo_node(k)];
-      const VSet pruned = alg::vset_with_final_in(stimulus.ppi_sets[k],
-                                                  alg::vset_initials(ppo));
-      if (pruned != stimulus.ppi_sets[k]) {
-        stimulus.ppi_sets[k] = pruned;
-        pruned_any = true;
-      }
-      if (pruned == kEmptySet) {
-        return fail();  // no register-consistent execution
-      }
-    }
-    if (!pruned_any) {
-      break;
-    }
-    all_sources(&diffs);
-    sim_.rerun_sources(diffs, &spec_, probe_sets_);
-    sim_view = &probe_sets_;
+  if (settled.resettles > 0) {
+    ++probe_counters_.probe_resettles;
   }
-  const std::vector<VSet>& sim_sets = *sim_view;
+  if (!settled.consistent) {
+    return fail();  // no register-consistent execution
+  }
+  const std::vector<VSet>& sim_sets = probe_sets_;
 
   // Pins must hold for every completion of the unassigned inputs, i.e. in
   // the forward simulation sets, not merely in the engine's constraint

@@ -77,6 +77,9 @@ struct SearchCounters {
   long probe_cone = 0;  ///< … settled incrementally from the cached state
   long probe_full = 0;  ///< … requiring a full two-frame pass
   long probe_memo_hits = 0;  ///< probes answered from the success memo
+  /// Probe runs whose pruned PPI finals differed from the cached ones and
+  /// needed a second, small replay.
+  long probe_resettles = 0;
 
   void add(const SearchCounters& other) {
     implication_assigns += other.implication_assigns;
@@ -99,6 +102,7 @@ struct SearchCounters {
     probe_cone += other.probe_cone;
     probe_full += other.probe_full;
     probe_memo_hits += other.probe_memo_hits;
+    probe_resettles += other.probe_resettles;
   }
 };
 
@@ -321,15 +325,11 @@ class TdgenSearch {
   /// outcome instead of resimulating. Byte-equivalent either way —
   /// rerun_sources replays against any cached base state exactly.
   mutable std::unordered_map<std::string, CheckOutcome> success_checks_;
-  /// The cone-scoped probe cache. probe_base_ holds node sets settled
-  /// under the last probe's *raw* sources (pre register-fixpoint): a new
-  /// probe hands its full source vector to rerun_sources, which replays
-  /// only the cones of the sources that actually differ — for the
-  /// don't-care lifting probes that is a single source. The register
-  /// fixpoint then prunes on a copy (probe_sets_) so the base never
-  /// churns through prune/unprune cycles. Exactly equivalent to a fresh
-  /// full pass per probe.
-  mutable std::vector<alg::VSet> probe_base_;
+  /// The cone-scoped probe cache: node sets settled under the last
+  /// probe's register-pruned sources. A new probe replays only the cones
+  /// of the sources that differ from them (TwoFrameSim::settle_registers)
+  /// — for the don't-care lifting probes that is a single source. Exactly
+  /// equivalent to a fresh full pass per probe.
   mutable std::vector<alg::VSet> probe_sets_;
   mutable bool probe_ready_ = false;
   mutable SearchCounters probe_counters_;

@@ -29,6 +29,14 @@ TEST(ClauseArena, TiersStampAndActivity) {
   EXPECT_EQ(arena.activity(c), 1.5);
   arena.scale_activities(0.5);
   EXPECT_EQ(arena.activity(c), 0.75);
+  arena.add(lits, 2);
+  arena.add(lits, 9);
+  arena.add(lits, 6);
+  EXPECT_EQ(arena.tier_count(base::ClauseTier::Core), 1u);
+  EXPECT_EQ(arena.tier_count(base::ClauseTier::Mid), 2u);
+  EXPECT_EQ(arena.tier_count(base::ClauseTier::Local), 1u);
+  const base::ClauseArena copy = arena;
+  EXPECT_EQ(copy.tier_count(base::ClauseTier::Mid), 2u);
 }
 
 TEST(Error, CheckThrowsWithMessage) {

@@ -5,6 +5,7 @@
 
 #include "algebra/frame_sim.hpp"
 #include "base/rng.hpp"
+#include "circuits/catalog.hpp"
 #include "circuits/embedded.hpp"
 
 namespace gdf::alg {
@@ -140,6 +141,95 @@ TEST_F(C17FrameSim, RerunSourcesMatchesFreshRunUnderRandomFlips) {
     std::vector<VSet> fresh;
     sim_.run(s, &fault, fresh);
     ASSERT_EQ(incremental, fresh) << "step " << step;
+  }
+}
+
+/// The reference register fixpoint: a fresh full pass per round, pruning
+/// every PPI's finals to its PPO's initials until nothing changes.
+bool reference_register_fixpoint(const AtpgModel& model,
+                                 const TwoFrameSim& sim,
+                                 TwoFrameStimulus& stimulus,
+                                 const FaultSpec* fault,
+                                 std::vector<VSet>& sets) {
+  for (;;) {
+    sim.run(stimulus, fault, sets);
+    bool pruned_any = false;
+    for (std::size_t k = 0; k < model.ppis().size(); ++k) {
+      const VSet pruned = vset_with_final_in(
+          stimulus.ppi_sets[k], vset_initials(sets[model.ppo_node(k)]));
+      if (pruned == kEmptySet) {
+        return false;
+      }
+      pruned_any = pruned_any || pruned != stimulus.ppi_sets[k];
+      stimulus.ppi_sets[k] = pruned;
+    }
+    if (!pruned_any) {
+      return true;
+    }
+  }
+}
+
+TEST(RegisterFixpoint, WarmSettleMatchesReferenceFixpoint) {
+  for (const char* name : {"s27", "s298"}) {
+    const net::Netlist nl = circuits::load_circuit(name);
+    const AtpgModel model(nl);
+    ASSERT_FALSE(model.ppis().empty());
+    const TwoFrameSim sim(model, robust_algebra());
+    Rng rng(7);
+    const FaultSpec at_ppi{model.ppis()[0], true};
+    const FaultSpec at_ppo{model.ppo_node(0), false};
+    const FaultSpec at_random{
+        static_cast<NodeId>(rng.next_below(model.node_count())), true};
+    int settled = 0;
+    for (const FaultSpec* fault : {static_cast<const FaultSpec*>(nullptr),
+                                   &at_ppi, &at_ppo, &at_random}) {
+      std::vector<VSet> warm;
+      for (int step = 0; step < 60; ++step) {
+        TwoFrameStimulus s;
+        for (std::size_t i = 0; i < model.pis().size(); ++i) {
+          const auto bits = static_cast<VSet>(rng.next_in(1, 255));
+          const VSet v = static_cast<VSet>(bits & kPrimaryDomain);
+          s.pi_sets.push_back(v != kEmptySet ? v : kPrimaryDomain);
+        }
+        // Every other step draws some PPI sets as arbitrary subsets (e.g.
+        // {R,F}), whose pruning can drop an initial and take more than one
+        // round; the probe shape (all finals allowed) must settle without
+        // a second round.
+        const bool all_finals = step % 2 == 0;
+        for (std::size_t k = 0; k < model.ppis().size(); ++k) {
+          const auto inits = static_cast<unsigned>(rng.next_in(1, 3));
+          VSet v = vset_with_initial_in(kPrimaryDomain, inits);
+          const auto bits = static_cast<VSet>(rng.next_in(1, 255));
+          if (!all_finals && rng.next_bool() &&
+              (bits & kPrimaryDomain) != kEmptySet) {
+            v = static_cast<VSet>(bits & kPrimaryDomain);
+          }
+          s.ppi_sets.push_back(v);
+        }
+        TwoFrameStimulus ref = s;
+        std::vector<VSet> ref_sets;
+        const bool ref_ok =
+            reference_register_fixpoint(model, sim, ref, fault, ref_sets);
+        for (const bool use_warm : {false, true}) {
+          TwoFrameStimulus got = s;
+          std::vector<VSet> cold;
+          std::vector<VSet>& sets = use_warm ? warm : cold;
+          const RegisterSettle result = sim.settle_registers(
+              got, fault, sets, use_warm && step > 0);
+          ASSERT_EQ(result.consistent, ref_ok)
+              << name << " step " << step << " warm " << use_warm;
+          if (all_finals) {
+            EXPECT_LE(result.resettles, 1) << name << " step " << step;
+          }
+          if (ref_ok) {
+            ASSERT_EQ(got.ppi_sets, ref.ppi_sets) << name << " step " << step;
+            ASSERT_EQ(sets, ref_sets) << name << " step " << step;
+            ++settled;
+          }
+        }
+      }
+    }
+    EXPECT_GT(settled, 100) << name;
   }
 }
 

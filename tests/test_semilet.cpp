@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "circuits/catalog.hpp"
 #include "circuits/embedded.hpp"
 #include "netlist/builder.hpp"
@@ -126,6 +128,63 @@ TEST(FramePodemObserve, UnassignableStateBlocksBacktrace) {
       EXPECT_EQ(status, PodemStatus::Exhausted);
     }
   }
+}
+
+/// FNV-1a over the enumeration of ObserveFault solutions with a D/D'
+/// injected at each DFF in turn. The D-frontier choice steers which
+/// decisions the search makes, so any drift in the fault-effect
+/// bookkeeping reorders or changes this sequence even where each solution
+/// still ends in a valid observation.
+std::uint64_t observe_enumeration_digest(const net::Netlist& nl) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  sim::SeqSimulator simulator(nl);
+  const std::size_t ffs = nl.dffs().size();
+  for (std::size_t ff = 0; ff < ffs; ++ff) {
+    for (const Lv effect : {Lv::D, Lv::Dbar}) {
+      Budget budget(SemiletOptions{});
+      PodemRequest request;
+      request.mode = PodemMode::ObserveFault;
+      request.in_state.assign(ffs, Lv::X);
+      request.in_state[ff] = effect;
+      request.assignable_ppi.assign(ffs, true);
+      request.assignable_ppi[ff] = false;
+      FramePodem podem(simulator, budget, std::move(request));
+      PodemStatus status = PodemStatus::Solution;
+      for (int n = 0; n < 20; ++n) {
+        FrameSolution sol;
+        status = podem.next(&sol);
+        if (status != PodemStatus::Solution) {
+          break;
+        }
+        for (const Lv v : sol.pis) {
+          mix(static_cast<std::uint64_t>(v));
+        }
+        for (const auto& [index, value] : sol.ppi_assignments) {
+          mix(index);
+          mix(static_cast<std::uint64_t>(value));
+        }
+        mix(sol.po_hit ? 1 : 0);
+        mix(sol.ppo_hit ? 1 : 0);
+      }
+      mix(0x100 + static_cast<std::uint64_t>(status));
+    }
+  }
+  return h;
+}
+
+TEST(FramePodemObserve, EnumerationDigestPinned) {
+  // Pinned from the full-netlist D-frontier scan the incremental
+  // fault-effect set replaced; the search must make the same choices.
+  EXPECT_EQ(observe_enumeration_digest(circuits::make_s27()),
+            0xebace2a8ae2306f1ull);
+  EXPECT_EQ(observe_enumeration_digest(circuits::load_circuit("s298")),
+            0x9d1a729df24a8501ull);
+  EXPECT_EQ(observe_enumeration_digest(circuits::load_circuit("s838")),
+            0x4f81fc93b2640f0dull);
 }
 
 TEST(PropagatorTest, OneFramePath) {

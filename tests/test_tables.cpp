@@ -266,6 +266,50 @@ TEST(SetOps, ForwardMonotoneInOperands) {
   EXPECT_EQ(static_cast<VSet>(out_base & out_wider), out_base);
 }
 
+TEST(SetOps, InitialsDependOnlyOnOperandInitials) {
+  // The initial frame settles before the transition, so a result's
+  // initial values are a function of its operands' initial values alone.
+  // TwoFrameSim::settle_registers rests on this: pruning a PPI's finals
+  // (its initials kept) cannot move any PPO initial. Checked against the
+  // widest set with the same initials as a canonical representative.
+  const auto canonical = [](VSet s) {
+    return vset_with_initial_in(kFullSet, vset_initials(s));
+  };
+  for (const DelayAlgebra* a : {&robust_algebra(), &nonrobust_algebra()}) {
+    long violations = 0;
+    for (const Op2 op : {Op2::And, Op2::Or, Op2::Xor}) {
+      for (int x = 1; x <= 0xFF; ++x) {
+        const VSet sx = static_cast<VSet>(x);
+        for (int y = 1; y <= 0xFF; ++y) {
+          const VSet sy = static_cast<VSet>(y);
+          if (vset_initials(a->set_fwd(op, sx, sy)) !=
+              vset_initials(a->set_fwd(op, canonical(sx), canonical(sy)))) {
+            ++violations;
+          }
+        }
+      }
+    }
+    for (int x = 1; x <= 0xFF; ++x) {
+      const VSet sx = static_cast<VSet>(x);
+      if (vset_initials(a->set_not(sx)) !=
+          vset_initials(a->set_not(canonical(sx)))) {
+        ++violations;
+      }
+    }
+    EXPECT_EQ(violations, 0) << (a == &robust_algebra() ? "robust"
+                                                        : "non-robust");
+  }
+  for (const bool str : {true, false}) {
+    for (int x = 1; x <= 0xFF; ++x) {
+      const VSet sx = static_cast<VSet>(x);
+      EXPECT_EQ(vset_initials(DelayAlgebra::site_transform(sx, str)),
+                vset_initials(DelayAlgebra::site_transform(canonical(sx),
+                                                           str)))
+          << "set " << x << (str ? " slow-to-rise" : " slow-to-fall");
+    }
+  }
+}
+
 TEST(SiteTransform, ReplacesTriggerWithCarrier) {
   const VSet raw = vset_of(R) | vset_of(Z);
   const VSet str = DelayAlgebra::site_transform(raw, true);
