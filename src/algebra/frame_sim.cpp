@@ -209,8 +209,8 @@ std::uint64_t TwoFrameSim::forced_sweep(std::span<const VSet> baseline,
                                         std::span<const ForcedLane> lanes,
                                         std::span<VSet> stop_values) const {
   const std::size_t n_nodes = model_->node_count();
-  const unsigned words = lane_words_;
-  GDF_ASSERT(lanes.size() <= 8u * words,
+  constexpr unsigned words = kPackedLanes / 8;
+  GDF_ASSERT(lanes.size() <= kPackedLanes,
              "too many scenarios for this packed sweep capacity");
   GDF_ASSERT(baseline.size() == n_nodes, "baseline size mismatch");
 

@@ -149,8 +149,6 @@ DriverConfig parse_args(int argc, const char* const* argv) {
         throw Error("--tdsim expects 'exact' or 'cpt', got '" + engine +
                     "'");
       }
-    } else if (arg == "--lanes") {
-      config.atpg.lanes = sim::parse_lanes(value_of(i, arg));
     } else if (arg == "--adi-sequences") {
       const int n = parse_int(arg, value_of(i, arg));
       check(n > 0, "--adi-sequences expects a positive sequence count");
@@ -319,10 +317,6 @@ std::string usage() {
       "      --tdsim ENGINE      phase-3 fault simulation engine:\n"
       "                          'cpt' (critical path tracing, default)\n"
       "                          or 'exact' (per-fault injection)\n"
-      "      --lanes WIDTH       simulation backend lane width: 'auto'\n"
-      "                          (probe the CPU vector width, default),\n"
-      "                          '64', '256' or '512'; results are\n"
-      "                          byte-identical for every width\n"
       "      --adi-sequences N   sampling budget of the 'adi' fault\n"
       "                          ordering pass (random sequences) [8]\n"
       "\n"

@@ -69,10 +69,10 @@ struct StageStats {
   // searches, so new counters flow through every merge site unchanged.
   tdgen::SearchCounters search;
 
-  // Simulation-kernel counters, attributed per backend (scalar phase 1
-  // and each WordN rung of the lane ladder), so sweeps can tell which
-  // kernel the fault-simulation time went to (--stages prints them).
-  sim::KernelCounters sim;
+  // Simulation-kernel counters (scalar phase 1 and the 64-lane phase 2),
+  // so sweeps can tell which kernel the fault-simulation time went to
+  // (--stages prints them).
+  fausim::KernelCounters sim;
 
   /// Accumulates another run's (or fault's) counters into this one.
   /// Addition is commutative, so merging per-fault slices in any order

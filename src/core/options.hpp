@@ -6,7 +6,6 @@
 #include "algebra/tables.hpp"
 #include "base/cancel.hpp"
 #include "semilet/options.hpp"
-#include "sim/lanes.hpp"
 #include "tdgen/fault.hpp"
 #include "tdgen/tdgen.hpp"
 
@@ -50,11 +49,6 @@ struct AtpgOptions {
   /// default) or exact per-fault injection (the reference). The two agree
   /// exactly; exposing the choice makes that checkable from the CLI.
   TdsimEngine tdsim_engine = TdsimEngine::Cpt;
-
-  /// Lane-width cap for the batched simulation backends (--lanes). A pure
-  /// per-run knob: every width computes bit-identical results, so it never
-  /// enters the structural compatibility predicate or the sweep memo keys.
-  sim::LaneSpec lanes;
 
   /// Random-sequence budget of the accidental-detection-index fault
   /// ordering pass (--fault-order adi): how many sampling sequences the

@@ -8,14 +8,11 @@ namespace gdf::fausim {
 
 using sim::Lv;
 
-Fausim::Fausim(const net::Netlist& nl, sim::LaneSpec lanes)
-    : Fausim(sim::FlatCircuit::build(nl), lanes) {}
+Fausim::Fausim(const net::Netlist& nl)
+    : Fausim(sim::FlatCircuit::build(nl)) {}
 
-Fausim::Fausim(std::shared_ptr<const sim::FlatCircuit> fc,
-               sim::LaneSpec lanes)
-    : fc_(std::move(fc)),
-      scalar_(fc_),
-      max_lanes_(sim::resolve_lane_count(lanes)) {}
+Fausim::Fausim(std::shared_ptr<const sim::FlatCircuit> fc)
+    : fc_(std::move(fc)), scalar_(fc_), packed_(fc_) {}
 
 Fausim::GoodTrace Fausim::simulate_good(std::span<const sim::InputVec> frames,
                                         Rng& rng) const {
@@ -45,22 +42,6 @@ Fausim::GoodTrace Fausim::simulate_good(std::span<const sim::InputVec> frames,
   return trace;
 }
 
-sim::SimBackend& Fausim::backend_for(std::size_t flip_count) const {
-  // Smallest rung that runs the whole pass in one block, capped by the
-  // configured width. 64*K - 1 faulty machines fit a K-plane rung (lane 0
-  // is the good machine).
-  static constexpr unsigned kRungLanes[3] = {64, 256, 512};
-  std::size_t rung = 0;
-  while (rung + 1 < 3 && kRungLanes[rung + 1] <= max_lanes_ &&
-         kRungLanes[rung] - 1 < flip_count) {
-    ++rung;
-  }
-  if (backends_[rung] == nullptr) {
-    backends_[rung] = sim::make_sim_backend(fc_, kRungLanes[rung]);
-  }
-  return *backends_[rung];
-}
-
 std::vector<bool> Fausim::ppo_observability(
     const sim::StateVec& state_after_fast,
     std::span<const sim::InputVec> propagation_frames) const {
@@ -81,34 +62,77 @@ std::vector<bool> Fausim::ppo_observability(
     return observable;
   }
 
-  sim::SimBackend& backend = backend_for(flippable.size());
-  backend.load_frames(propagation_frames);
-  const std::size_t per_pass = backend.lanes() - 1;
-  for (std::size_t begin = 0; begin < flippable.size(); begin += per_pass) {
-    const std::size_t count =
-        std::min(per_pass, flippable.size() - begin);
-    backend.run_pass(state_after_fast,
-                     std::span<const std::size_t>(flippable)
-                         .subspan(begin, count),
-                     observable);
+  // The propagation frames apply the same PIs in every lane: convert them
+  // once for all passes.
+  const std::size_t n_pi = fc_->inputs().size();
+  pi_frames_.resize(propagation_frames.size());
+  for (std::size_t f = 0; f < propagation_frames.size(); ++f) {
+    GDF_ASSERT(propagation_frames[f].size() == n_pi, "PI size mismatch");
+    pi_frames_[f].resize(n_pi);
+    for (std::size_t i = 0; i < n_pi; ++i) {
+      pi_frames_[f][i] = sim::w3_broadcast(propagation_frames[f][i]);
+    }
+  }
+
+  // Lane 0 replays the good machine; lane 1 + l flips flipped[l].
+  constexpr std::size_t kPerPass = sim::Word3::kLanes - 1;
+  for (std::size_t begin = 0; begin < flippable.size(); begin += kPerPass) {
+    const std::span<const std::size_t> flipped =
+        std::span<const std::size_t>(flippable).subspan(
+            begin, std::min(kPerPass, flippable.size() - begin));
+    state_.resize(n_ff);
+    for (std::size_t k = 0; k < n_ff; ++k) {
+      state_[k] = sim::w3_broadcast(state_after_fast[k]);
+    }
+    for (std::size_t l = 0; l < flipped.size(); ++l) {
+      const std::size_t ff = flipped[l];
+      const Lv bad = state_after_fast[ff] == Lv::One ? Lv::Zero : Lv::One;
+      sim::w3_set_lane(state_[ff], static_cast<unsigned>(l + 1), bad);
+    }
+
+    // Lanes of this pass whose difference has not reached a PO yet.
+    std::uint64_t pending = 0;
+    for (std::size_t l = 0; l < flipped.size(); ++l) {
+      pending |= std::uint64_t{1} << (l + 1);
+    }
+    for (const std::vector<sim::Word3>& pi_words : pi_frames_) {
+      packed_.eval_frame(pi_words, state_, lines_);
+      lane_evals_ += static_cast<long>(fc_->body_count()) *
+                     static_cast<long>(sim::Word3::kLanes);
+      for (const net::GateId po : fc_->outputs()) {
+        const sim::Word3& w = lines_[po];
+        // A lane differs from the good machine (lane 0) when both are
+        // definite and opposite: good 1 => the lane's zero rail, good 0 =>
+        // its one rail.
+        const bool good_one = (w.ones & 1u) != 0;
+        const bool good_zero = (w.zeros & 1u) != 0;
+        if (!good_one && !good_zero) {
+          continue;
+        }
+        std::uint64_t hits = (good_one ? w.zeros : w.ones) & pending;
+        pending &= ~hits;
+        while (hits != 0) {
+          const unsigned lane = static_cast<unsigned>(__builtin_ctzll(hits));
+          hits &= hits - 1;
+          observable[flipped[lane - 1]] = true;
+        }
+      }
+      if (pending == 0) {
+        break;  // every lane of this pass already observed
+      }
+      packed_.next_state(lines_, next_);
+      state_.swap(next_);
+    }
   }
   return observable;
 }
 
-sim::KernelCounters Fausim::take_kernel_counters() {
-  sim::KernelCounters out;
+KernelCounters Fausim::take_kernel_counters() {
+  KernelCounters out;
   out.scalar_evals = scalar_evals_;
+  out.lane_evals_64 = lane_evals_;
   scalar_evals_ = 0;
-  long* buckets[3] = {&out.lane_evals_64, &out.lane_evals_256,
-                      &out.lane_evals_512};
-  for (std::size_t rung = 0; rung < 3; ++rung) {
-    if (backends_[rung] == nullptr) {
-      continue;
-    }
-    const long total = backends_[rung]->lane_gate_evals();
-    *buckets[rung] = total - harvested_lane_evals_[rung];
-    harvested_lane_evals_[rung] = total;
-  }
+  lane_evals_ = 0;
   return out;
 }
 

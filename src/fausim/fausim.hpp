@@ -12,33 +12,43 @@
 // Phase 3 (delay-fault critical path tracing inside the fast frame) lives
 // in TDsim.
 //
-// Phase 2 runs behind the pluggable SimBackend seam (sim/backend.hpp):
-// the configured --lanes value caps the rung of the WordN ladder, and each
-// pass picks the smallest rung that covers its flip count in one block, so
-// narrow state vectors never pay for planes they cannot fill. Every rung
-// computes identical verdicts — lanes are independent machines — so the
-// choice never shows in the results, only in the kernel counters.
+// Phase 2 runs on the 64-lane dual-rail kernel (sim/parallel3.hpp): lane 0
+// replays the good machine and each other lane flips one captured bit, so
+// a pass covers 63 flip-flops and wider state vectors take several passes.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "base/rng.hpp"
-#include "sim/backend.hpp"
 #include "sim/flat_circuit.hpp"
-#include "sim/lanes.hpp"
+#include "sim/parallel3.hpp"
 #include "sim/seq_sim.hpp"
 
 namespace gdf::fausim {
 
+/// Gate-evaluation counters attributed per kernel (--stages prints them).
+/// Lane-evals count bodies * 64 lanes; the scalar bucket counts plain
+/// five-valued body evaluations.
+struct KernelCounters {
+  long scalar_evals = 0;   ///< phase-1 scalar good-machine kernel
+  long lane_evals_64 = 0;  ///< phase-2 64-lane kernel
+  /// Always 0; perfbench/atpg_bench.cpp still reads these two.
+  long lane_evals_256 = 0;
+  long lane_evals_512 = 0;
+
+  void add(const KernelCounters& other) {
+    scalar_evals += other.scalar_evals;
+    lane_evals_64 += other.lane_evals_64;
+  }
+};
+
 class Fausim {
  public:
-  explicit Fausim(const net::Netlist& nl, sim::LaneSpec lanes = {});
+  explicit Fausim(const net::Netlist& nl);
   /// Shares an already-built flat circuit form.
-  explicit Fausim(std::shared_ptr<const sim::FlatCircuit> fc,
-                  sim::LaneSpec lanes = {});
+  explicit Fausim(std::shared_ptr<const sim::FlatCircuit> fc);
 
   struct GoodTrace {
     /// Input vectors with every X bit filled randomly (what the tester
@@ -64,31 +74,25 @@ class Fausim {
       const sim::StateVec& state_after_fast,
       std::span<const sim::InputVec> propagation_frames) const;
 
-  /// The configured rung of the lane ladder (what --stages reports); a
-  /// pass may run on a narrower rung when its flip count fits one.
-  unsigned max_lanes() const { return max_lanes_; }
-  const char* backend_name() const {
-    return sim::lane_backend_name(max_lanes_);
-  }
-
-  /// Kernel work since the last harvest, attributed per backend; resets
+  /// Kernel work since the last harvest, attributed per kernel; resets
   /// the counters. Serialized by the caller like the simulators' scratch.
-  sim::KernelCounters take_kernel_counters();
+  KernelCounters take_kernel_counters();
 
   const net::Netlist& netlist() const { return fc_->netlist(); }
 
  private:
-  sim::SimBackend& backend_for(std::size_t flip_count) const;
-
   std::shared_ptr<const sim::FlatCircuit> fc_;
   sim::SeqSimulator scalar_;
-  unsigned max_lanes_;
-  /// Lazily-built ladder rungs (64/256/512 lanes) and per-rung harvest
-  /// snapshots. Instance-local scratch behind the const API, like the
-  /// scalar engine's buffers — never shared across threads.
-  mutable std::array<std::unique_ptr<sim::SimBackend>, 3> backends_;
+  sim::ParallelSim3 packed_;
+  /// Phase-2 scratch, persisted so repeated passes do not reallocate.
+  /// Instance-local behind the const API, like the scalar engine's
+  /// buffers — never shared across threads.
+  mutable std::vector<std::vector<sim::Word3>> pi_frames_;
+  mutable std::vector<sim::Word3> state_;
+  mutable std::vector<sim::Word3> lines_;
+  mutable std::vector<sim::Word3> next_;
   mutable long scalar_evals_ = 0;
-  std::array<long, 3> harvested_lane_evals_ = {0, 0, 0};
+  mutable long lane_evals_ = 0;
 };
 
 }  // namespace gdf::fausim

@@ -168,7 +168,7 @@ std::vector<bool> Tdsim::detect_cpt(
   // into one packed sweep (two polarities each, so half the packed lane
   // capacity in stems per sweep); a batch flushes early whenever a mark it
   // would feed is needed.
-  const std::size_t stems_per_sweep = sim_.packed_lane_capacity() / 2;
+  const std::size_t stems_per_sweep = alg::TwoFrameSim::kPackedLanes / 2;
   struct PendingStem {
     NodeId stem;
     NodeId dom;

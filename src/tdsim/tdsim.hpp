@@ -39,18 +39,9 @@ struct TdsimRequest {
 
 class Tdsim {
  public:
-  /// `stem_lanes` caps the packed byte-lane count of one CPT stem sweep
-  /// (two lanes per stem — one per polarity). The default keeps the
-  /// classic one-word batches of four stems; callers on a wider WordN
-  /// backend ladder pass sim::packed_stem_lanes(lanes) through so a sweep
-  /// corrects up to 32 stems at once. The batch size never changes the
-  /// verdicts — lanes are independent scenarios and the descending fill
-  /// order resolves dominators first at any capacity.
   explicit Tdsim(const alg::AtpgModel& model,
-                 const alg::DelayAlgebra& algebra, unsigned stem_lanes = 8)
-      : model_(&model),
-        algebra_(&algebra),
-        sim_(model, algebra, stem_lanes) {}
+                 const alg::DelayAlgebra& algebra)
+      : model_(&model), algebra_(&algebra), sim_(model, algebra) {}
 
   /// Reference engine: exact injection per fault.
   std::vector<bool> detect_exact(

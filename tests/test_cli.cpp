@@ -3,13 +3,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 #include "base/error.hpp"
 #include "circuits/catalog.hpp"
 #include "cli/args.hpp"
 #include "core/delay_atpg.hpp"
 #include "netlist/bench_io.hpp"
-#include "sim/lanes.hpp"
 
 namespace gdf::cli {
 namespace {
@@ -51,7 +51,6 @@ TEST(ArgsTest, UsageMentionsNewFlags) {
   EXPECT_NE(text.find("--bench-dir"), std::string::npos);
   EXPECT_NE(text.find("--shard-faults"), std::string::npos);
   EXPECT_NE(text.find("--shard-epoch"), std::string::npos);
-  EXPECT_NE(text.find("--lanes"), std::string::npos);
   EXPECT_NE(text.find("--adi-sequences"), std::string::npos);
   EXPECT_NE(text.find("--learn"), std::string::npos);
   EXPECT_NE(text.find("--learned-limit"), std::string::npos);
@@ -94,19 +93,24 @@ TEST(ArgsTest, RobustExecutionFlags) {
 
 TEST(ArgsTest, WallClockCapIsAnUnknownOption) {
   // There is no wall-clock cap per fault (--fault-budget caps the work
-  // deterministically): the flag is rejected like any unknown option, a
+  // deterministically) and no lane-width choice (fault simulation runs one
+  // 64-lane kernel): each flag is rejected like any unknown option, a
   // gdf::Error, which gdf_atpg turns into exit 1.
-  try {
-    parse({"--all", "--per-fault-seconds", "1"});
-    ADD_FAILURE() << "--per-fault-seconds was accepted";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.kind(), ErrorKind::Input);
-    EXPECT_NE(std::string(e.what()).find("unknown option '--per-fault-"
-                                         "seconds'"),
-              std::string::npos)
-        << e.what();
+  const std::pair<const char*, const char*> inputs[] = {
+      {"--per-fault-seconds", "1"}, {"--lanes", "64"}};
+  for (const auto& [flag, value] : inputs) {
+    try {
+      parse({"--all", flag, value});
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::Input);
+      EXPECT_NE(std::string(e.what()).find("unknown option '" +
+                                           std::string(flag) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(usage().find(flag), std::string::npos);
   }
-  EXPECT_EQ(usage().find("--per-fault-seconds"), std::string::npos);
   EXPECT_EQ(usage().find("shared"), std::string::npos);
 }
 
@@ -118,27 +122,6 @@ TEST(ArgsTest, RobustFlagsReachTheSweepSpec) {
   EXPECT_TRUE(spec.disable_memo);  // journaled rows must replay verbatim
   const run::SweepSpec plain = sweep_spec(parse({"--circuit", "s27"}));
   EXPECT_FALSE(plain.disable_memo);
-}
-
-TEST(ArgsTest, LaneWidthChoices) {
-  using sim::LaneSpec;
-  EXPECT_EQ(parse({"--all"}).atpg.lanes.width, LaneSpec::Width::Auto);
-  EXPECT_EQ(parse({"--all", "--lanes", "auto"}).atpg.lanes.width,
-            LaneSpec::Width::Auto);
-  EXPECT_EQ(parse({"--all", "--lanes", "64"}).atpg.lanes.width,
-            LaneSpec::Width::W64);
-  EXPECT_EQ(parse({"--all", "--lanes", "256"}).atpg.lanes.width,
-            LaneSpec::Width::W256);
-  EXPECT_EQ(parse({"--all", "--lanes", "512"}).atpg.lanes.width,
-            LaneSpec::Width::W512);
-  EXPECT_THROW(parse({"--all", "--lanes", "128"}), Error);
-  EXPECT_THROW(parse({"--all", "--lanes", "wide"}), Error);
-  // Every explicit width resolves to itself; auto resolves to a real one.
-  EXPECT_EQ(sim::resolve_lane_count({LaneSpec::Width::W64}), 64u);
-  EXPECT_EQ(sim::resolve_lane_count({LaneSpec::Width::W256}), 256u);
-  EXPECT_EQ(sim::resolve_lane_count({LaneSpec::Width::W512}), 512u);
-  const unsigned probed = sim::resolve_lane_count({});
-  EXPECT_TRUE(probed == 64 || probed == 256 || probed == 512);
 }
 
 TEST(ArgsTest, LearnModeChoices) {
@@ -238,23 +221,6 @@ TEST(ArgsTest, BadAxisValuesThrow) {
   EXPECT_THROW(parse({"--all", "--csv", "--dropping", "maybe"}), Error);
   EXPECT_THROW(parse({"--all", "--csv", "--fault-sites", "none"}), Error);
   EXPECT_THROW(parse({"--all", "--csv", "--seeds", "1,,2"}), Error);
-}
-
-// The two TDsim engines must be interchangeable from one binary: the full
-// flow produces identical Table-3 rows either way.
-TEST(TdsimEngineSmokeTest, ExactAndCptAgreeOnS27) {
-  const net::Netlist nl = circuits::load_circuit("s27");
-  core::AtpgOptions cpt;
-  cpt.tdsim_engine = core::TdsimEngine::Cpt;
-  core::AtpgOptions exact;
-  exact.tdsim_engine = core::TdsimEngine::Exact;
-  const core::FogbusterResult a = core::run_delay_atpg(nl, cpt);
-  const core::FogbusterResult b = core::run_delay_atpg(nl, exact);
-  EXPECT_EQ(a.tested(), b.tested());
-  EXPECT_EQ(a.untestable(), b.untestable());
-  EXPECT_EQ(a.aborted(), b.aborted());
-  EXPECT_EQ(a.pattern_count, b.pattern_count);
-  EXPECT_EQ(a.status, b.status);
 }
 
 // --bench round trip: a catalog circuit serialized to .bench and loaded

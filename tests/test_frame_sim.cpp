@@ -284,14 +284,13 @@ TEST_F(C17FrameSim, ForcedSweepMaskMatchesRunForced) {
 }
 
 TEST_F(C17FrameSim, WideForcedSweepSpansPackedWords) {
-  // A 64-lane sweep packs 8 bytes per node; twelve lanes cross three
+  // A sweep packs eight byte lanes per word; twelve lanes cross two
   // packed words, and every lane's verdict must still match its own full
-  // forced replay — the invariant that lets tdsim batch stems at any
-  // width without changing verdicts.
-  TwoFrameSim wide(model_, robust_algebra(), 64);
-  EXPECT_EQ(wide.packed_lane_capacity(), 64u);
+  // forced replay — the invariant that lets tdsim batch stems without
+  // changing verdicts.
+  static_assert(TwoFrameSim::kPackedLanes == 64);
   std::vector<VSet> baseline;
-  wide.run(robust_stimulus(), nullptr, baseline);
+  sim_.run(robust_stimulus(), nullptr, baseline);
   std::vector<TwoFrameSim::ForcedLane> lanes;
   for (const char* name : {"N10", "N11", "N16", "N19", "N22", "N23"}) {
     lanes.push_back({model_.head_of(nl_.find(name)), vset_of(V8::RiseC),
@@ -300,10 +299,10 @@ TEST_F(C17FrameSim, WideForcedSweepSpansPackedWords) {
                      kNoNode});
   }
   ASSERT_GT(lanes.size(), 8u);  // must spill past one packed word
-  const std::uint64_t wide_mask = wide.forced_po_carrier_mask(baseline, lanes);
+  const std::uint64_t wide_mask = sim_.forced_po_carrier_mask(baseline, lanes);
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     std::vector<VSet> forced;
-    wide.run_forced(robust_stimulus(), lanes[i].node, lanes[i].set, forced);
+    sim_.run_forced(robust_stimulus(), lanes[i].node, lanes[i].set, forced);
     bool po_carrier = false;
     for (const NodeId obs : model_.observation_points()) {
       if (!model_.node(obs).is_po) {
@@ -316,7 +315,7 @@ TEST_F(C17FrameSim, WideForcedSweepSpansPackedWords) {
     }
     EXPECT_EQ((wide_mask >> i & 1u) != 0, po_carrier) << "lane " << i;
   }
-  // Chunked through the default 8-lane engine the verdicts are identical.
+  // Chunked into one-word sweeps of 8 lanes the verdicts are identical.
   std::uint64_t chunked = 0;
   for (std::size_t begin = 0; begin < lanes.size(); begin += 8) {
     const std::size_t count = std::min<std::size_t>(8, lanes.size() - begin);
@@ -325,6 +324,63 @@ TEST_F(C17FrameSim, WideForcedSweepSpansPackedWords) {
                << begin;
   }
   EXPECT_EQ(wide_mask, chunked);
+}
+
+TEST(ForcedSweep, FullWidthSweepMatchesPerLaneReplay) {
+  // A sweep of all kPackedLanes lanes fills every packed word: each lane
+  // must still report what its own forced replay leaves at its stop node.
+  const net::Netlist nl = circuits::load_circuit("s298");
+  const AtpgModel model(nl);
+  const TwoFrameSim sim(model, robust_algebra());
+  Rng rng(298);
+  const auto random_bits = [&rng] {
+    return vset_primary_from_frames(static_cast<int>(rng.next_below(2)),
+                                    static_cast<int>(rng.next_below(2)));
+  };
+  TwoFrameStimulus stimulus;
+  stimulus.pi_sets.resize(nl.inputs().size());
+  stimulus.ppi_sets.resize(nl.dffs().size());
+  for (VSet& set : stimulus.pi_sets) {
+    set = random_bits();
+  }
+  for (VSet& set : stimulus.ppi_sets) {
+    set = random_bits();
+  }
+  std::vector<VSet> baseline;
+  sim.run(stimulus, nullptr, baseline);
+
+  // Half the lanes force a rising carrier on distinct nodes, the other
+  // half a falling one on the same nodes in the same order, so lanes that
+  // are half a sweep apart share their whole cones. Each lane stops three
+  // readers downstream, so its wave crosses gates.
+  constexpr std::size_t kHalf = TwoFrameSim::kPackedLanes / 2;
+  std::vector<TwoFrameSim::ForcedLane> lanes;
+  for (NodeId id = 0; id < model.node_count() && lanes.size() < kHalf;
+       ++id) {
+    NodeId stop = id;
+    for (int hop = 0; hop < 3 && !model.fanout(stop).empty(); ++hop) {
+      stop = model.fanout(stop)[0];
+    }
+    if (stop != id) {
+      lanes.push_back({id, vset_of(V8::RiseC), stop});
+    }
+  }
+  ASSERT_EQ(lanes.size(), kHalf);
+  for (std::size_t i = 0; i < kHalf; ++i) {
+    lanes.push_back({lanes[i].node, vset_of(V8::FallC), lanes[i].stop});
+  }
+  std::vector<VSet> stop_values(lanes.size(), kEmptySet);
+  EXPECT_EQ(sim.forced_sweep(baseline, lanes, stop_values), 0u);
+  int upper_half_moved = 0;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    std::vector<VSet> reference;
+    sim.run_forced(stimulus, lanes[i].node, lanes[i].set, reference);
+    EXPECT_EQ(stop_values[i], reference[lanes[i].stop]) << "lane " << i;
+    if (i >= kHalf && stop_values[i] != baseline[lanes[i].stop]) {
+      ++upper_half_moved;
+    }
+  }
+  EXPECT_GT(upper_half_moved, 0);  // the upper words carry real waves
 }
 
 TEST_F(C17FrameSim, StimulusSizeMismatchIsFatal) {

@@ -16,6 +16,9 @@
 // off x luby would repeat the first row) — plus the default search under
 // a per-fault work budget (--fault-budget), whose aborts cut the local
 // search and its re-entries at a deterministic point.
+//
+// The same circuits also run the fault-dropping flow under both TDsim
+// engines (--tdsim cpt|exact), which must agree to the test sequence.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -118,6 +121,31 @@ TEST_P(VerdictOracle, TestedReverifiesAndNoSettingRefutesAnother) {
     }
   }
   EXPECT_EQ(contradictions, 0) << "of " << faults.size() << " faults";
+}
+
+// The two TDsim engines are interchangeable: the fault-dropping flow must
+// produce the same verdicts, pattern count and test sequences under
+// critical path tracing (whose stem sweeps batch TwoFrameSim::kPackedLanes
+// scenarios) as under exact per-fault injection.
+TEST_P(VerdictOracle, DroppingFlowIsIdenticalUnderCptAndExactTdsim) {
+  const net::Netlist circuit = circuits::load_circuit(GetParam());
+  AtpgOptions cpt;
+  cpt.tdsim_engine = TdsimEngine::Cpt;
+  AtpgOptions exact = cpt;
+  exact.tdsim_engine = TdsimEngine::Exact;
+  const std::shared_ptr<const CircuitContext> ctx =
+      CircuitContext::build(circuit, cpt);
+  const FogbusterResult a = Fogbuster(ctx, cpt).run();
+  const FogbusterResult b = Fogbuster(ctx, exact).run();
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.pattern_count, b.pattern_count);
+  ASSERT_FALSE(a.tests.empty());
+  ASSERT_EQ(a.tests.size(), b.tests.size());
+  for (std::size_t i = 0; i < a.tests.size(); ++i) {
+    EXPECT_EQ(a.tests[i].target, b.tests[i].target) << "test " << i;
+    EXPECT_EQ(a.tests[i].all_frames(), b.tests[i].all_frames())
+        << tdgen::fault_name(ctx->netlist(), a.tests[i].target);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Catalog, VerdictOracle,

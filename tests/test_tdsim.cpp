@@ -118,18 +118,16 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(TdsimLaneLadder, CptVerdictsIdenticalAtEveryStemBatchWidth) {
-  // Stem batch width is a pure throughput knob: the packed sweep resolves
-  // dominator stems before the stems they dominate at any batch size, so
-  // CPT verdicts — and hence every CSV row — must be byte-identical
-  // whether stems flush 4, 16, or 32 at a time (8/32/64 packed lanes).
+  // CPT flushes up to 32 stems per packed sweep (both polarities of each
+  // in TwoFrameSim::kPackedLanes byte lanes); the sweep must resolve
+  // dominator stems before the stems they dominate within a batch, so the
+  // verdicts equal the exact engine's on every random pattern.
   std::uint64_t seed = 2026;
   for (const char* name : {"s298", "s386"}) {
     const net::Netlist nl =
         net::expand_fanout_branches(circuits::load_circuit(name));
     const AtpgModel model(nl);
-    const Tdsim narrow(model, robust_algebra(), 8);
-    const Tdsim mid(model, robust_algebra(), 32);
-    const Tdsim wide(model, robust_algebra(), 64);
+    const Tdsim tdsim(model, robust_algebra());
     const auto faults = tdgen::enumerate_faults(nl);
     Rng rng(++seed);
 
@@ -146,13 +144,9 @@ TEST(TdsimLaneLadder, CptVerdictsIdenticalAtEveryStemBatchWidth) {
                  static_cast<int>(rng.next_below(2)));
       }
       request.observable_ppo.assign(nl.dffs().size(), true);
-      const auto exact = narrow.detect_exact(request, faults);
-      ASSERT_EQ(narrow.detect_cpt(request, faults), exact)
-          << name << " pattern " << pattern << " lanes 8";
-      ASSERT_EQ(mid.detect_cpt(request, faults), exact)
-          << name << " pattern " << pattern << " lanes 32";
-      ASSERT_EQ(wide.detect_cpt(request, faults), exact)
-          << name << " pattern " << pattern << " lanes 64";
+      ASSERT_EQ(tdsim.detect_cpt(request, faults),
+                tdsim.detect_exact(request, faults))
+          << name << " pattern " << pattern;
     }
   }
 }
