@@ -8,7 +8,6 @@
 // analysis.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -48,10 +47,6 @@ VSet vset_primary_from_frames(int initial_bit, int final_bit);
 
 class TwoFrameSim {
  public:
-  /// Scenario capacity of one forced_sweep call: one VSet byte lane per
-  /// scenario, eight per 64-bit word, as many as the returned mask holds.
-  static constexpr unsigned kPackedLanes = 64;
-
   explicit TwoFrameSim(const AtpgModel& model, const DelayAlgebra& algebra)
       : model_(&model), algebra_(&algebra) {}
 
@@ -67,13 +62,6 @@ class TwoFrameSim {
   bool guaranteed_observation(const TwoFrameStimulus& stimulus,
                               const FaultSpec& fault,
                               std::vector<NodeId>* where = nullptr) const;
-
-  /// Like run() without a fault, but with node `forced`'s value set
-  /// overridden to `forced_set` before its fanout is evaluated. Used by
-  /// critical path tracing to ask "what if this line carried the fault
-  /// effect".
-  void run_forced(const TwoFrameStimulus& stimulus, NodeId forced,
-                  VSet forced_set, std::vector<VSet>& node_sets) const;
 
   /// Like run() with a fault, but starting from an already-computed
   /// fault-free pass over the same stimulus: only the site's fanout cone is
@@ -112,38 +100,6 @@ class TwoFrameSim {
                                   std::vector<VSet>& node_sets,
                                   bool warm) const;
 
-  /// One what-if scenario of a batched stem sweep: `node`'s value set is
-  /// replaced by `set` before its fanout is evaluated. When `stop` names a
-  /// node, the scenario's propagation is truncated there and its value at
-  /// `stop` is reported instead of a PO verdict — the hook for
-  /// dominator-aware stem marks (every path to an observation point passes
-  /// the stop node, so the value there decides the scenario).
-  struct ForcedLane {
-    NodeId node = kNoNode;
-    VSet set = kEmptySet;
-    NodeId stop = kNoNode;
-  };
-
-  /// Batched run_forced over a shared fault-free baseline: up to
-  /// kPackedLanes independent scenarios evaluated in one packed
-  /// cone sweep (one byte lane per scenario, eight lanes per 64-bit word).
-  /// For lanes without a stop node, the returned bitmask has bit i set
-  /// when scenario i forces a carrier-only value at some primary output.
-  /// For lanes with one, stop_values[i] (which must have one entry per
-  /// lane) receives the scenario's settled value at its stop node —
-  /// baseline when the wave never reaches it — and the mask bit stays
-  /// clear.
-  std::uint64_t forced_sweep(std::span<const VSet> baseline,
-                             std::span<const ForcedLane> lanes,
-                             std::span<VSet> stop_values) const;
-
-  /// forced_sweep without truncation — every lane reports the PO verdict.
-  std::uint64_t forced_po_carrier_mask(
-      std::span<const VSet> baseline,
-      std::span<const ForcedLane> lanes) const {
-    return forced_sweep(baseline, lanes, {});
-  }
-
  private:
   /// Re-evaluates the fanout cone of `from` inside `node_sets`, whose value
   /// at `from` has already been overridden (everything upstream holds
@@ -160,11 +116,6 @@ class TwoFrameSim {
   /// the source changes handed to rerun_sources.
   mutable std::vector<VSet> settled_ppis_;
   mutable std::vector<std::pair<NodeId, VSet>> source_changes_;
-  mutable std::vector<std::uint64_t> packed_;
-  mutable std::vector<std::uint64_t> lane_dirty_;
-  mutable std::vector<std::uint64_t> lane_forced_;
-  mutable std::vector<std::uint64_t> lane_stamp_;
-  mutable std::uint64_t lane_epoch_ = 0;
 };
 
 }  // namespace gdf::alg

@@ -139,16 +139,6 @@ DriverConfig parse_args(int argc, const char* const* argv) {
       config.resume = true;
     } else if (arg == "--seed") {
       config.atpg.fill_seed = parse_u64(arg, value_of(i, arg));
-    } else if (arg == "--tdsim") {
-      const std::string engine = value_of(i, arg);
-      if (engine == "cpt") {
-        config.atpg.tdsim_engine = core::TdsimEngine::Cpt;
-      } else if (engine == "exact") {
-        config.atpg.tdsim_engine = core::TdsimEngine::Exact;
-      } else {
-        throw Error("--tdsim expects 'exact' or 'cpt', got '" + engine +
-                    "'");
-      }
     } else if (arg == "--adi-sequences") {
       const int n = parse_int(arg, value_of(i, arg));
       check(n > 0, "--adi-sequences expects a positive sequence count");
@@ -314,9 +304,6 @@ std::string usage() {
       "      --seed N            RNG seed for X-fill         [1995]\n"
       "      --no-fault-dropping disable dropping via fault simulation\n"
       "      --no-branch-faults  gate outputs only, no fanout branches\n"
-      "      --tdsim ENGINE      phase-3 fault simulation engine:\n"
-      "                          'cpt' (critical path tracing, default)\n"
-      "                          or 'exact' (per-fault injection)\n"
       "      --adi-sequences N   sampling budget of the 'adi' fault\n"
       "                          ordering pass (random sequences) [8]\n"
       "\n"

@@ -11,9 +11,6 @@
 
 namespace gdf::core {
 
-/// Phase-3 delay fault simulation engine (see tdsim/tdsim.hpp).
-enum class TdsimEngine : std::uint8_t { Cpt, Exact };
-
 /// Conflict-driven learning in the two-frame search (--learn).
 ///
 /// On (default) keeps every learned clause private to its fault, so each
@@ -45,14 +42,9 @@ struct AtpgOptions {
   /// additionally detected faults (paper §5/§6).
   bool fault_dropping = true;
 
-  /// Which TDsim engine phase 3 uses: critical path tracing (fast, the
-  /// default) or exact per-fault injection (the reference). The two agree
-  /// exactly; exposing the choice makes that checkable from the CLI.
-  TdsimEngine tdsim_engine = TdsimEngine::Cpt;
-
   /// Random-sequence budget of the accidental-detection-index fault
-  /// ordering pass (--fault-order adi): how many sampling sequences the
-  /// batched TDsim simulates to rank the faults. More sequences sharpen
+  /// ordering pass (--fault-order adi): how many sampling sequences
+  /// TDsim simulates to rank the faults. More sequences sharpen
   /// the ranking at a linear cost in ordering time.
   int adi_sequences = 8;
 

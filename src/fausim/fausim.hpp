@@ -9,8 +9,7 @@
 //     at a primary output. All injections run in batched dual-rail passes
 //     (one lane per flip-flop plus the good machine).
 //
-// Phase 3 (delay-fault critical path tracing inside the fast frame) lives
-// in TDsim.
+// Phase 3 (delay fault simulation inside the fast frame) lives in TDsim.
 //
 // Phase 2 runs on the 64-lane dual-rail kernel (sim/parallel3.hpp): lane 0
 // replays the good machine and each other lane flips one captured bit, so

@@ -11,9 +11,8 @@
 //  * Random — a seeded Fisher-Yates shuffle; the baseline ordering
 //    experiments are measured against.
 //  * Adi — accidental detection index (Pomeranz & Reddy): fault-simulate a
-//    fixed budget of random sequences with the batched TDsim engine, count
-//    how often each fault is detected by chance, and target the rarely-hit
-//    faults first.
+//    fixed budget of random sequences with TDsim, count how often each
+//    fault is detected by chance, and target the rarely-hit faults first.
 //
 // All three are deterministic in (context, options): the same inputs
 // always produce the same permutation.

@@ -17,7 +17,7 @@
 //   2. Barrier. Replay the epoch in targeting order: skip faults a
 //      previous epoch-mate's test already dropped, adopt each remaining
 //      fault's precomputed verdict, and push every accepted test through
-//      the batched FAUSIM/TDsim dropping pass — in canonical order, on
+//      the FAUSIM/TDsim dropping pass — in canonical order, on
 //      one thread, consuming the X-fill stream exactly like the
 //      sequential run.
 //

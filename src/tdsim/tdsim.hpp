@@ -8,13 +8,9 @@
 // invalidate a state bit the propagation phase relies on — the paper's
 // separate invalidation trace.
 //
-// Two interchangeable engines:
-//  * detect_exact — per fault: inject the carrier at the site and re-run
-//    the two-frame set simulation (the reference implementation);
-//  * detect_cpt — critical path tracing: polarity-aware robust-propagation
-//    marks composed backward through single-reader chains, with exact cone
-//    re-simulation at fanout stems (the classic CPT stem correction).
-// The two agree exactly; tests assert it.
+// Each activated fault is injected exactly: its carrier replaces the site's
+// value and only the site's fanout cone is replayed over the shared
+// fault-free pass.
 #pragma once
 
 #include <span>
@@ -41,28 +37,19 @@ class Tdsim {
  public:
   explicit Tdsim(const alg::AtpgModel& model,
                  const alg::DelayAlgebra& algebra)
-      : model_(&model), algebra_(&algebra), sim_(model, algebra) {}
+      : model_(&model), sim_(model, algebra) {}
 
-  /// Reference engine: exact injection per fault.
+  /// Per fault: true when the applied test detects it robustly.
   std::vector<bool> detect_exact(
       const TdsimRequest& request,
       std::span<const tdgen::DelayFault> faults) const;
 
-  /// Critical path tracing engine.
-  std::vector<bool> detect_cpt(
-      const TdsimRequest& request,
-      std::span<const tdgen::DelayFault> faults) const;
-
  private:
-  bool detect_one(const TdsimRequest& request,
-                  std::span<const alg::VSet> fault_free,
-                  const tdgen::DelayFault& fault) const;
   bool credited(const TdsimRequest& request,
                 std::span<const alg::VSet> fault_free,
                 std::span<const alg::VSet> injected) const;
 
   const alg::AtpgModel* model_;
-  const alg::DelayAlgebra* algebra_;
   alg::TwoFrameSim sim_;
 };
 

@@ -33,19 +33,9 @@ TEST(ArgsTest, BenchAloneIsEnoughToRun) {
   EXPECT_THROW(parse({"--csv"}), Error);
 }
 
-TEST(ArgsTest, TdsimEngineChoices) {
-  EXPECT_EQ(parse({"--all"}).atpg.tdsim_engine, core::TdsimEngine::Cpt);
-  EXPECT_EQ(parse({"--all", "--tdsim", "exact"}).atpg.tdsim_engine,
-            core::TdsimEngine::Exact);
-  EXPECT_EQ(parse({"--all", "--tdsim", "cpt"}).atpg.tdsim_engine,
-            core::TdsimEngine::Cpt);
-  EXPECT_THROW(parse({"--all", "--tdsim", "fast"}), Error);
-}
-
 TEST(ArgsTest, UsageMentionsNewFlags) {
   const std::string text = usage();
   EXPECT_NE(text.find("--bench"), std::string::npos);
-  EXPECT_NE(text.find("--tdsim"), std::string::npos);
   EXPECT_NE(text.find("--jobs"), std::string::npos);
   EXPECT_NE(text.find("--fault-order"), std::string::npos);
   EXPECT_NE(text.find("--bench-dir"), std::string::npos);
@@ -91,13 +81,14 @@ TEST(ArgsTest, RobustExecutionFlags) {
   EXPECT_THROW(parse({"--all", "--journal", "run.j", "--stages"}), Error);
 }
 
-TEST(ArgsTest, WallClockCapIsAnUnknownOption) {
+TEST(ArgsTest, RemovedFlagsAreUnknownOptions) {
   // There is no wall-clock cap per fault (--fault-budget caps the work
-  // deterministically) and no lane-width choice (fault simulation runs one
-  // 64-lane kernel): each flag is rejected like any unknown option, a
-  // gdf::Error, which gdf_atpg turns into exit 1.
+  // deterministically), no lane-width choice (fault simulation runs one
+  // 64-lane kernel) and no TDsim engine choice (phase 3 injects each fault
+  // exactly): each flag is rejected like any unknown option, a gdf::Error,
+  // which gdf_atpg turns into exit 1.
   const std::pair<const char*, const char*> inputs[] = {
-      {"--per-fault-seconds", "1"}, {"--lanes", "64"}};
+      {"--per-fault-seconds", "1"}, {"--lanes", "64"}, {"--tdsim", "exact"}};
   for (const auto& [flag, value] : inputs) {
     try {
       parse({"--all", flag, value});

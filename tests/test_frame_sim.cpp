@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include "algebra/frame_sim.hpp"
 #include "base/rng.hpp"
 #include "circuits/catalog.hpp"
 #include "circuits/embedded.hpp"
+#include "netlist/fanout.hpp"
 
 namespace gdf::alg {
 namespace {
@@ -233,155 +234,69 @@ TEST(RegisterFixpoint, WarmSettleMatchesReferenceFixpoint) {
   }
 }
 
-TEST_F(C17FrameSim, ForcedSweepStopReportsConeValue) {
-  // A truncated lane must report exactly the value a full forced replay
-  // leaves at the stop node, and never touch POs.
-  std::vector<VSet> baseline;
-  sim_.run(robust_stimulus(), nullptr, baseline);
-  const NodeId stem = model_.head_of(nl_.find("N11"));
-  for (const NodeId stop :
-       {model_.head_of(nl_.find("N16")), model_.head_of(nl_.find("N19")),
-        model_.head_of(nl_.find("N22"))}) {
-    for (const V8 pol : {V8::RiseC, V8::FallC}) {
-      std::vector<VSet> reference;
-      sim_.run_forced(robust_stimulus(), stem, vset_of(pol), reference);
-      const TwoFrameSim::ForcedLane lane{stem, vset_of(pol), stop};
-      VSet stop_value = kEmptySet;
-      const std::uint64_t mask =
-          sim_.forced_sweep(baseline, {&lane, 1}, {&stop_value, 1});
-      EXPECT_EQ(stop_value, reference[stop]);
-      EXPECT_EQ(mask, 0u);  // truncated lanes never report a PO verdict
-    }
-  }
-}
+struct InjectedCase {
+  std::string circuit;
+  std::uint64_t seed;
+};
 
-TEST_F(C17FrameSim, ForcedSweepMaskMatchesRunForced) {
-  std::vector<VSet> baseline;
-  sim_.run(robust_stimulus(), nullptr, baseline);
-  std::vector<TwoFrameSim::ForcedLane> lanes;
-  for (const char* name : {"N11", "N10", "N16", "N19"}) {
-    lanes.push_back({model_.head_of(nl_.find(name)), vset_of(V8::RiseC),
-                     kNoNode});
-    lanes.push_back({model_.head_of(nl_.find(name)), vset_of(V8::FallC),
-                     kNoNode});
-  }
-  const std::uint64_t mask = sim_.forced_po_carrier_mask(baseline, lanes);
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    std::vector<VSet> forced;
-    sim_.run_forced(robust_stimulus(), lanes[i].node, lanes[i].set, forced);
-    bool po_carrier = false;
-    for (const NodeId obs : model_.observation_points()) {
-      if (!model_.node(obs).is_po) {
-        continue;
-      }
-      const VSet s = forced[obs];
-      if (s != kEmptySet && (s & ~kCarrierSet) == 0) {
-        po_carrier = true;
-      }
-    }
-    EXPECT_EQ((mask >> i & 1u) != 0, po_carrier) << "lane " << i;
-  }
-}
+class InjectedReplay : public ::testing::TestWithParam<InjectedCase> {};
 
-TEST_F(C17FrameSim, WideForcedSweepSpansPackedWords) {
-  // A sweep packs eight byte lanes per word; twelve lanes cross two
-  // packed words, and every lane's verdict must still match its own full
-  // forced replay — the invariant that lets tdsim batch stems without
-  // changing verdicts.
-  static_assert(TwoFrameSim::kPackedLanes == 64);
-  std::vector<VSet> baseline;
-  sim_.run(robust_stimulus(), nullptr, baseline);
-  std::vector<TwoFrameSim::ForcedLane> lanes;
-  for (const char* name : {"N10", "N11", "N16", "N19", "N22", "N23"}) {
-    lanes.push_back({model_.head_of(nl_.find(name)), vset_of(V8::RiseC),
-                     kNoNode});
-    lanes.push_back({model_.head_of(nl_.find(name)), vset_of(V8::FallC),
-                     kNoNode});
-  }
-  ASSERT_GT(lanes.size(), 8u);  // must spill past one packed word
-  const std::uint64_t wide_mask = sim_.forced_po_carrier_mask(baseline, lanes);
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    std::vector<VSet> forced;
-    sim_.run_forced(robust_stimulus(), lanes[i].node, lanes[i].set, forced);
-    bool po_carrier = false;
-    for (const NodeId obs : model_.observation_points()) {
-      if (!model_.node(obs).is_po) {
-        continue;
-      }
-      const VSet s = forced[obs];
-      if (s != kEmptySet && (s & ~kCarrierSet) == 0) {
-        po_carrier = true;
-      }
-    }
-    EXPECT_EQ((wide_mask >> i & 1u) != 0, po_carrier) << "lane " << i;
-  }
-  // Chunked into one-word sweeps of 8 lanes the verdicts are identical.
-  std::uint64_t chunked = 0;
-  for (std::size_t begin = 0; begin < lanes.size(); begin += 8) {
-    const std::size_t count = std::min<std::size_t>(8, lanes.size() - begin);
-    chunked |= sim_.forced_po_carrier_mask(
-                   baseline, {lanes.data() + begin, count})
-               << begin;
-  }
-  EXPECT_EQ(wide_mask, chunked);
-}
-
-TEST(ForcedSweep, FullWidthSweepMatchesPerLaneReplay) {
-  // A sweep of all kPackedLanes lanes fills every packed word: each lane
-  // must still report what its own forced replay leaves at its stop node.
-  const net::Netlist nl = circuits::load_circuit("s298");
+TEST_P(InjectedReplay, MatchesFaultedFullRunAtEverySite) {
+  // run_injected replays only the site's cone over a fault-free baseline;
+  // it must equal a full faulted pass at every fault site and polarity.
+  const net::Netlist nl =
+      net::expand_fanout_branches(circuits::load_circuit(GetParam().circuit));
   const AtpgModel model(nl);
   const TwoFrameSim sim(model, robust_algebra());
-  Rng rng(298);
+  Rng rng(GetParam().seed);
   const auto random_bits = [&rng] {
     return vset_primary_from_frames(static_cast<int>(rng.next_below(2)),
                                     static_cast<int>(rng.next_below(2)));
   };
-  TwoFrameStimulus stimulus;
-  stimulus.pi_sets.resize(nl.inputs().size());
-  stimulus.ppi_sets.resize(nl.dffs().size());
-  for (VSet& set : stimulus.pi_sets) {
-    set = random_bits();
-  }
-  for (VSet& set : stimulus.ppi_sets) {
-    set = random_bits();
-  }
-  std::vector<VSet> baseline;
-  sim.run(stimulus, nullptr, baseline);
-
-  // Half the lanes force a rising carrier on distinct nodes, the other
-  // half a falling one on the same nodes in the same order, so lanes that
-  // are half a sweep apart share their whole cones. Each lane stops three
-  // readers downstream, so its wave crosses gates.
-  constexpr std::size_t kHalf = TwoFrameSim::kPackedLanes / 2;
-  std::vector<TwoFrameSim::ForcedLane> lanes;
-  for (NodeId id = 0; id < model.node_count() && lanes.size() < kHalf;
-       ++id) {
-    NodeId stop = id;
-    for (int hop = 0; hop < 3 && !model.fanout(stop).empty(); ++hop) {
-      stop = model.fanout(stop)[0];
+  int observed = 0;
+  for (int pattern = 0; pattern < 8; ++pattern) {
+    TwoFrameStimulus stimulus;
+    stimulus.pi_sets.resize(nl.inputs().size());
+    for (VSet& s : stimulus.pi_sets) {
+      s = random_bits();
     }
-    if (stop != id) {
-      lanes.push_back({id, vset_of(V8::RiseC), stop});
+    stimulus.ppi_sets.resize(nl.dffs().size());
+    for (VSet& s : stimulus.ppi_sets) {
+      s = random_bits();
     }
-  }
-  ASSERT_EQ(lanes.size(), kHalf);
-  for (std::size_t i = 0; i < kHalf; ++i) {
-    lanes.push_back({lanes[i].node, vset_of(V8::FallC), lanes[i].stop});
-  }
-  std::vector<VSet> stop_values(lanes.size(), kEmptySet);
-  EXPECT_EQ(sim.forced_sweep(baseline, lanes, stop_values), 0u);
-  int upper_half_moved = 0;
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    std::vector<VSet> baseline;
+    sim.run(stimulus, nullptr, baseline);
+    std::vector<VSet> injected;
     std::vector<VSet> reference;
-    sim.run_forced(stimulus, lanes[i].node, lanes[i].set, reference);
-    EXPECT_EQ(stop_values[i], reference[lanes[i].stop]) << "lane " << i;
-    if (i >= kHalf && stop_values[i] != baseline[lanes[i].stop]) {
-      ++upper_half_moved;
+    for (NodeId site = 0; site < model.node_count(); ++site) {
+      for (const bool slow_to_rise : {true, false}) {
+        const FaultSpec fault{site, slow_to_rise};
+        sim.run_injected(baseline, fault, injected);
+        sim.run(stimulus, &fault, reference);
+        ASSERT_EQ(injected, reference)
+            << GetParam().circuit << " pattern " << pattern << " site "
+            << site << (slow_to_rise ? " StR" : " StF");
+        for (const NodeId obs : model.observation_points()) {
+          if (obs != site && (injected[obs] & kCarrierSet) != 0) {
+            ++observed;
+            break;
+          }
+        }
+      }
     }
   }
-  EXPECT_GT(upper_half_moved, 0);  // the upper words carry real waves
+  // The carriers must travel: some injection reaches an observation point
+  // other than its own site.
+  EXPECT_GT(observed, 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Circuits, InjectedReplay,
+    ::testing::Values(InjectedCase{"c17", 11}, InjectedCase{"s27", 12},
+                      InjectedCase{"s298", 13}, InjectedCase{"s386", 14}),
+    [](const ::testing::TestParamInfo<InjectedCase>& info) {
+      return info.param.circuit;
+    });
 
 TEST_F(C17FrameSim, StimulusSizeMismatchIsFatal) {
   TwoFrameStimulus s;

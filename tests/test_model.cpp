@@ -131,7 +131,6 @@ TEST(DominatorTest, DiamondReconvergesAtDominator) {
   // The PO itself is dominated only by the virtual sink.
   EXPECT_EQ(m.idom(m.head_of(nl.find("y"))), kNoNode);
   EXPECT_TRUE(m.obs_reachable(m.head_of(nl.find("s"))));
-  EXPECT_TRUE(m.po_reachable(m.head_of(nl.find("s"))));
 }
 
 TEST(DominatorTest, DivergingPathsHaveNoProperDominator) {
@@ -149,7 +148,7 @@ TEST(DominatorTest, DivergingPathsHaveNoProperDominator) {
   EXPECT_TRUE(m.obs_reachable(m.head_of(nl.find("s"))));
 }
 
-TEST(DominatorTest, PpoOnlyPathIsObsButNotPoReachable) {
+TEST(DominatorTest, PpoOnlyPathIsObsReachable) {
   net::NetlistBuilder b("ppo_only");
   b.input("a");
   b.output("y");
@@ -159,10 +158,11 @@ TEST(DominatorTest, PpoOnlyPathIsObsButNotPoReachable) {
   const net::Netlist nl = b.build();
   const AtpgModel m(nl);
   const NodeId d_head = m.head_of(nl.find("d"));
-  EXPECT_TRUE(m.obs_reachable(d_head));   // the PPO observes it
-  EXPECT_FALSE(m.po_reachable(d_head));   // but no PO path exists
+  EXPECT_TRUE(m.obs_reachable(d_head));  // the PPO observes it
+  // As an observation point itself, d is dominated only by the sink.
+  EXPECT_EQ(m.idom(d_head), kNoNode);
   // The PPI side reaches the PO.
-  EXPECT_TRUE(m.po_reachable(m.head_of(nl.find("q"))));
+  EXPECT_TRUE(m.obs_reachable(m.head_of(nl.find("q"))));
 }
 
 /// Brute-force dominator property on real circuits: idom(n) must cut every

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "base/rng.hpp"
-#include "circuits/catalog.hpp"
 #include "circuits/embedded.hpp"
 #include "netlist/fanout.hpp"
 #include "tdsim/tdsim.hpp"
@@ -11,7 +9,6 @@ namespace {
 
 using alg::AtpgModel;
 using alg::robust_algebra;
-using alg::V8;
 using alg::VSet;
 using tdgen::DelayFault;
 
@@ -69,88 +66,6 @@ TEST_F(C17Tdsim, ActivationRequiresCleanTransition) {
   EXPECT_FALSE(detected[fault_index("N11", true)]);
 }
 
-TEST_F(C17Tdsim, CptAgreesOnKnownPattern) {
-  const auto exact = tdsim_.detect_exact(known_good_request(), faults_);
-  const auto cpt = tdsim_.detect_cpt(known_good_request(), faults_);
-  EXPECT_EQ(exact, cpt);
-}
-
-struct SweepCase {
-  std::string circuit;
-  std::uint64_t seed;
-};
-
-class CptEquivalence : public ::testing::TestWithParam<SweepCase> {};
-
-TEST_P(CptEquivalence, RandomPatternsMatchExact) {
-  const net::Netlist nl =
-      net::expand_fanout_branches(circuits::load_circuit(GetParam().circuit));
-  const AtpgModel model(nl);
-  const Tdsim tdsim(model, robust_algebra());
-  const auto faults = tdgen::enumerate_faults(nl);
-  Rng rng(GetParam().seed);
-
-  for (int pattern = 0; pattern < 8; ++pattern) {
-    TdsimRequest request;
-    request.stimulus.pi_sets.resize(nl.inputs().size());
-    for (VSet& s : request.stimulus.pi_sets) {
-      s = bits(static_cast<int>(rng.next_below(2)),
-               static_cast<int>(rng.next_below(2)));
-    }
-    request.stimulus.ppi_sets.resize(nl.dffs().size());
-    for (VSet& s : request.stimulus.ppi_sets) {
-      s = bits(static_cast<int>(rng.next_below(2)),
-               static_cast<int>(rng.next_below(2)));
-    }
-    request.observable_ppo.assign(nl.dffs().size(), true);
-    const auto exact = tdsim.detect_exact(request, faults);
-    const auto cpt = tdsim.detect_cpt(request, faults);
-    EXPECT_EQ(exact, cpt) << GetParam().circuit << " pattern " << pattern;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Circuits, CptEquivalence,
-    ::testing::Values(SweepCase{"c17", 11}, SweepCase{"s27", 12},
-                      SweepCase{"s298", 13}, SweepCase{"s386", 14}),
-    [](const ::testing::TestParamInfo<SweepCase>& info) {
-      return info.param.circuit;
-    });
-
-TEST(TdsimLaneLadder, CptVerdictsIdenticalAtEveryStemBatchWidth) {
-  // CPT flushes up to 32 stems per packed sweep (both polarities of each
-  // in TwoFrameSim::kPackedLanes byte lanes); the sweep must resolve
-  // dominator stems before the stems they dominate within a batch, so the
-  // verdicts equal the exact engine's on every random pattern.
-  std::uint64_t seed = 2026;
-  for (const char* name : {"s298", "s386"}) {
-    const net::Netlist nl =
-        net::expand_fanout_branches(circuits::load_circuit(name));
-    const AtpgModel model(nl);
-    const Tdsim tdsim(model, robust_algebra());
-    const auto faults = tdgen::enumerate_faults(nl);
-    Rng rng(++seed);
-
-    for (int pattern = 0; pattern < 6; ++pattern) {
-      TdsimRequest request;
-      request.stimulus.pi_sets.resize(nl.inputs().size());
-      for (VSet& s : request.stimulus.pi_sets) {
-        s = bits(static_cast<int>(rng.next_below(2)),
-                 static_cast<int>(rng.next_below(2)));
-      }
-      request.stimulus.ppi_sets.resize(nl.dffs().size());
-      for (VSet& s : request.stimulus.ppi_sets) {
-        s = bits(static_cast<int>(rng.next_below(2)),
-                 static_cast<int>(rng.next_below(2)));
-      }
-      request.observable_ppo.assign(nl.dffs().size(), true);
-      ASSERT_EQ(tdsim.detect_cpt(request, faults),
-                tdsim.detect_exact(request, faults))
-          << name << " pattern " << pattern;
-    }
-  }
-}
-
 TEST(TdsimPpoPaths, ObservabilityGatesPpoCredit) {
   // s27, fault G13 StR: G13 feeds only DFF G7 — detection must go through
   // PPO 2 and is only credited when that PPO is observable.
@@ -170,7 +85,6 @@ TEST(TdsimPpoPaths, ObservabilityGatesPpoCredit) {
 
   request.observable_ppo[2] = true;
   EXPECT_TRUE(tdsim.detect_exact(request, faults)[0]);
-  EXPECT_EQ(tdsim.detect_cpt(request, faults)[0], true);
 }
 
 TEST(TdsimPpoPaths, InvalidationBlocksCredit) {
