@@ -206,6 +206,9 @@ search_core = {
     "probe_cone": 0,
     "probe_full": 0,
     "probe_resettles": 0,
+    "probe_evals": 0,
+    "reverted_lifts": 0,
+    "podem_resettle_evals": 0,
     "conflicts": 0,
     "learned_clauses": 0,
     "clause_hits": 0,
@@ -260,6 +263,16 @@ for m in re.finditer(
     search_core["backjump_levels_skipped"] += int(m.group(4))
 for m in re.finditer(r"probe memo\s+hits (\d+)", stages_text):
     search_core["probe_memo_hits"] += int(m.group(1))
+# Replay work behind the undo journals: node evaluations of every probe,
+# rejected lifts reverted from their journal, and the body evaluations of
+# SEMILET's frame-PODEM resettles.
+for m in re.finditer(
+        r"undo journals\s+probe evals (\d+), reverted lifts (\d+), "
+        r"podem resettle evals (\d+)",
+        stages_text):
+    search_core["probe_evals"] += int(m.group(1))
+    search_core["reverted_lifts"] += int(m.group(2))
+    search_core["podem_resettle_evals"] += int(m.group(3))
 # Clause-quality scheduling counters (the clause-quality PR): restart and
 # reduction cadence, minimization yield, and the tier/LBD composition of
 # the learned databases at end of search.

@@ -42,81 +42,28 @@ inline VSet eval_node(const DelayAlgebra& algebra, NodeKind kind, VSet a,
 
 }  // namespace
 
-void TwoFrameSim::replay_cone(NodeId from,
-                              std::vector<VSet>& node_sets) const {
-  const AtpgModel& m = *model_;
-  const NodeKind* kinds = m.kinds().data();
-  const NodeId* in0s = m.in0s().data();
-  const NodeId* in1s = m.in1s().data();
-  VSet* sets = node_sets.data();
-  work_.begin(m.node_count());
-  for (const NodeId reader : m.fanout(from)) {
-    work_.push(reader);
+void revert(SetJournal& journal, std::vector<VSet>& node_sets) {
+  for (auto it = journal.rbegin(); it != journal.rend(); ++it) {
+    node_sets[it->first] = it->second;
   }
-  // Scheduled ids are always readers of changed nodes — never sources —
-  // and pop ascending, so every input is final when its consumer
-  // evaluates. The wave dies wherever a value is unchanged.
-  NodeId id;
-  while (work_.pop(&id)) {
-    const NodeId in0 = in0s[id];
-    const NodeId in1 = in1s[id];
-    const VSet out = eval_node(*algebra_, kinds[id], sets[in0],
-                               in1 != kNoNode ? sets[in1] : kEmptySet);
-    if (out == sets[id]) {
-      continue;
-    }
-    sets[id] = out;
-    for (const NodeId reader : m.fanout(id)) {
-      work_.push(reader);
-    }
-  }
+  journal.clear();
 }
 
-void TwoFrameSim::run_injected(std::span<const VSet> baseline,
-                               const FaultSpec& fault,
-                               std::vector<VSet>& node_sets) const {
-  GDF_ASSERT(baseline.size() == model_->node_count(),
-             "baseline size mismatch");
-  node_sets.assign(baseline.begin(), baseline.end());
-  const VSet transformed =
-      DelayAlgebra::site_transform(baseline[fault.site], fault.slow_to_rise);
-  if (transformed == baseline[fault.site]) {
-    return;  // no activating transition at the site: the cone is unchanged
-  }
-  node_sets[fault.site] = transformed;
-  replay_cone(fault.site, node_sets);
-}
-
-void TwoFrameSim::rerun_sources(
-    std::span<const std::pair<NodeId, VSet>> changed, const FaultSpec* fault,
-    std::vector<VSet>& node_sets) const {
+long TwoFrameSim::replay(std::vector<VSet>& node_sets, const FaultSpec* fault,
+                         SetJournal* journal) const {
   const AtpgModel& m = *model_;
-  GDF_ASSERT(node_sets.size() == m.node_count(), "node set size mismatch");
   const NodeKind* kinds = m.kinds().data();
   const NodeId* in0s = m.in0s().data();
   const NodeId* in1s = m.in1s().data();
   VSet* sets = node_sets.data();
   const NodeId site = fault != nullptr ? fault->site : kNoNode;
-  work_.begin(m.node_count());
-  bool any = false;
-  for (const auto& [src, raw] : changed) {
-    VSet v = static_cast<VSet>(raw & kPrimaryDomain);
-    if (src == site) {
-      v = DelayAlgebra::site_transform(v, fault->slow_to_rise);
-    }
-    if (v != sets[src]) {
-      sets[src] = v;
-      for (const NodeId reader : m.fanout(src)) {
-        work_.push(reader);
-      }
-      any = true;
-    }
-  }
-  if (!any) {
-    return;
-  }
+  // Scheduled ids are always readers of changed nodes — never sources —
+  // and pop ascending, so every input is final when its consumer
+  // evaluates. The wave dies wherever a value is unchanged.
+  long evaluations = 0;
   NodeId id;
   while (work_.pop(&id)) {
+    ++evaluations;
     const NodeId in0 = in0s[id];
     const NodeId in1 = in1s[id];
     VSet out = eval_node(*algebra_, kinds[id], sets[in0],
@@ -127,24 +74,79 @@ void TwoFrameSim::rerun_sources(
     if (out == sets[id]) {
       continue;
     }
+    if (journal != nullptr) {
+      journal->emplace_back(id, sets[id]);
+    }
     sets[id] = out;
     for (const NodeId reader : m.fanout(id)) {
       work_.push(reader);
     }
   }
+  return evaluations;
+}
+
+void TwoFrameSim::inject(const FaultSpec& fault, std::vector<VSet>& node_sets,
+                         SetJournal& journal) const {
+  GDF_ASSERT(node_sets.size() == model_->node_count(),
+             "node set size mismatch");
+  const VSet before = node_sets[fault.site];
+  const VSet transformed =
+      DelayAlgebra::site_transform(before, fault.slow_to_rise);
+  if (transformed == before) {
+    return;  // no activating transition at the site: the cone is unchanged
+  }
+  journal.emplace_back(fault.site, before);
+  node_sets[fault.site] = transformed;
+  work_.begin(model_->node_count());
+  for (const NodeId reader : model_->fanout(fault.site)) {
+    work_.push(reader);
+  }
+  replay(node_sets, nullptr, &journal);
+}
+
+long TwoFrameSim::rerun_sources(
+    std::span<const std::pair<NodeId, VSet>> changed, const FaultSpec* fault,
+    std::vector<VSet>& node_sets, SetJournal* journal) const {
+  const AtpgModel& m = *model_;
+  GDF_ASSERT(node_sets.size() == m.node_count(), "node set size mismatch");
+  const NodeId site = fault != nullptr ? fault->site : kNoNode;
+  work_.begin(m.node_count());
+  bool any = false;
+  for (const auto& [src, raw] : changed) {
+    VSet v = static_cast<VSet>(raw & kPrimaryDomain);
+    if (src == site) {
+      v = DelayAlgebra::site_transform(v, fault->slow_to_rise);
+    }
+    if (v != node_sets[src]) {
+      if (journal != nullptr) {
+        journal->emplace_back(src, node_sets[src]);
+      }
+      node_sets[src] = v;
+      for (const NodeId reader : m.fanout(src)) {
+        work_.push(reader);
+      }
+      any = true;
+    }
+  }
+  return any ? replay(node_sets, fault, journal) : 0;
 }
 
 RegisterSettle TwoFrameSim::settle_registers(TwoFrameStimulus& stimulus,
                                              const FaultSpec* fault,
                                              std::vector<VSet>& node_sets,
-                                             bool warm) const {
+                                             bool warm,
+                                             SetJournal* journal) const {
   const AtpgModel& m = *model_;
   std::vector<VSet>& ppi_sets = stimulus.ppi_sets;
   GDF_ASSERT(ppi_sets.size() == m.ppis().size(),
              "PPI stimulus size mismatch");
+  GDF_ASSERT(warm || journal == nullptr, "a cold settle takes no journal");
+  RegisterSettle result;
   if (!warm) {
     run(stimulus, fault, node_sets);
     settled_ppis_ = ppi_sets;
+    result.evaluations = static_cast<long>(
+        m.node_count() - m.pis().size() - m.ppis().size());
   } else {
     GDF_ASSERT(stimulus.pi_sets.size() == m.pis().size(),
                "PI stimulus size mismatch");
@@ -164,12 +166,12 @@ RegisterSettle TwoFrameSim::settle_registers(TwoFrameStimulus& stimulus,
                              : ppi_sets[k];
       source_changes_.emplace_back(m.ppis()[k], settled_ppis_[k]);
     }
-    rerun_sources(source_changes_, fault, node_sets);
+    result.evaluations +=
+        rerun_sources(source_changes_, fault, node_sets, journal);
   }
   // Round n prunes against the PPO initials of run(S_n) — the reference
   // iteration. When the PPI initials are kept (always, for PPIs that allow
   // every final) the second round finds nothing left to prune.
-  RegisterSettle result;
   for (;;) {
     source_changes_.clear();
     for (std::size_t k = 0; k < ppi_sets.size(); ++k) {
@@ -188,7 +190,8 @@ RegisterSettle TwoFrameSim::settle_registers(TwoFrameStimulus& stimulus,
     if (source_changes_.empty()) {
       return result;
     }
-    rerun_sources(source_changes_, fault, node_sets);
+    result.evaluations +=
+        rerun_sources(source_changes_, fault, node_sets, journal);
     ++result.resettles;
   }
 }

@@ -32,6 +32,14 @@ struct TwoFrameStimulus {
   std::vector<VSet> ppi_sets;  ///< one per FF, Netlist::dffs() order
 };
 
+/// Undo log of node-set writes, oldest first: each entry is a node and the
+/// set it held before the write. Reverting a journaled replay costs its
+/// writes, not another replay.
+using SetJournal = std::vector<std::pair<NodeId, VSet>>;
+
+/// Restores every write logged in `journal`, newest first, and empties it.
+void revert(SetJournal& journal, std::vector<VSet>& node_sets);
+
 /// Outcome of TwoFrameSim::settle_registers.
 struct RegisterSettle {
   /// False when some PPI has no register-consistent value left.
@@ -39,6 +47,9 @@ struct RegisterSettle {
   /// Replays after the first pass: rounds whose pruned PPI finals differed
   /// from the sets the previous pass had settled.
   int resettles = 0;
+  /// Node evaluations spent: every gate of a full pass plus every node the
+  /// cone replays popped.
+  long evaluations = 0;
 };
 
 /// Builds the {0,1,R,F} subset compatible with the given frame bits
@@ -63,20 +74,24 @@ class TwoFrameSim {
                               const FaultSpec& fault,
                               std::vector<NodeId>* where = nullptr) const;
 
-  /// Like run() with a fault, but starting from an already-computed
-  /// fault-free pass over the same stimulus: only the site's fanout cone is
-  /// re-evaluated. Exactly equivalent to run(stimulus, &fault, node_sets).
-  void run_injected(std::span<const VSet> baseline, const FaultSpec& fault,
-                    std::vector<VSet>& node_sets) const;
+  /// Injects `fault` into `node_sets`, a fault-free run() over some
+  /// stimulus: the site takes its carrier and only its fanout cone is
+  /// re-evaluated, so the result is exactly run(stimulus, &fault,
+  /// node_sets). Every write is logged to `journal`, so revert() hands the
+  /// fault-free pass back for the next fault.
+  void inject(const FaultSpec& fault, std::vector<VSet>& node_sets,
+              SetJournal& journal) const;
 
   /// Incremental settle: `node_sets` holds a settled pass (under `fault`)
   /// and `changed` lists source nodes whose raw stimulus set is replaced.
   /// Re-evaluates only the affected cones (dirty worklist over the
   /// topological node order — cost is the cone, not the circuit); the
   /// result is exactly what run() with the updated stimulus would produce.
-  void rerun_sources(std::span<const std::pair<NodeId, VSet>> changed,
-                     const FaultSpec* fault,
-                     std::vector<VSet>& node_sets) const;
+  /// Writes are logged to `journal` when given. Returns the number of
+  /// node evaluations.
+  long rerun_sources(std::span<const std::pair<NodeId, VSet>> changed,
+                     const FaultSpec* fault, std::vector<VSet>& node_sets,
+                     SetJournal* journal = nullptr) const;
 
   /// The register fixpoint of a two-frame pass. A PPI's final-frame value
   /// is produced by the register from its PPO's initial-frame value, so
@@ -95,16 +110,23 @@ class TwoFrameSim {
   /// pruned ones), prunes against that, and replays again only the PPIs
   /// whose pruned set differs from the guess. Otherwise a full run() of the
   /// unpruned stimulus comes first.
+  ///
+  /// A warm settle logs every write to `journal` when given, consistent or
+  /// not: revert() then restores `node_sets` to the pass it started from,
+  /// which is how a rejected probe is undone without a replay. A cold
+  /// settle rewrites every node and takes no journal.
   RegisterSettle settle_registers(TwoFrameStimulus& stimulus,
                                   const FaultSpec* fault,
-                                  std::vector<VSet>& node_sets,
-                                  bool warm) const;
+                                  std::vector<VSet>& node_sets, bool warm,
+                                  SetJournal* journal = nullptr) const;
 
  private:
-  /// Re-evaluates the fanout cone of `from` inside `node_sets`, whose value
-  /// at `from` has already been overridden (everything upstream holds
-  /// baseline values).
-  void replay_cone(NodeId from, std::vector<VSet>& node_sets) const;
+  /// Drains the scheduled worklist over `node_sets`: pops readers of
+  /// changed nodes in ascending order, re-evaluates them (applying the site
+  /// transform at `fault`'s site) and schedules the readers of every node
+  /// whose set changed. Returns the number of evaluations.
+  long replay(std::vector<VSet>& node_sets, const FaultSpec* fault,
+              SetJournal* journal) const;
 
   const AtpgModel* model_;
   const DelayAlgebra* algebra_;

@@ -75,6 +75,7 @@ void StageStats::add(const StageStats& other) {
   aborted_local += other.aborted_local;
   aborted_sequential += other.aborted_sequential;
   aborted_budget += other.aborted_budget;
+  podem_resettle_evals += other.podem_resettle_evals;
   search.add(other.search);
   sim.add(other.sim);
 }
@@ -271,16 +272,20 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
     return FaultStatus::Aborted;
   };
 
+  semilet::Budget budget(options_.sequential);
   // Folds the searches' counters into the per-fault stage stats whichever
   // way this function returns (the searches add to the tally on
-  // destruction, which runs before this scope's).
+  // destruction, which runs before this scope's; the budget outlives it).
   struct TallyScope {
     tdgen::SearchCounters tally;
+    const semilet::Budget* budget;
     StageStats* stages;
-    ~TallyScope() { stages->search.add(tally); }
-  } tally_scope{{}, stages};
+    ~TallyScope() {
+      stages->search.add(tally);
+      stages->podem_resettle_evals += budget->resettle_evals();
+    }
+  } tally_scope{{}, &budget, stages};
 
-  semilet::Budget budget(options_.sequential);
   const sim::SeqSimulator twin_sim(ctx_->flat());
   tdgen::TdgenOptions local_options = options_.local;
   local_options.tally = &tally_scope.tally;

@@ -62,6 +62,8 @@ struct StageStats {
   long aborted_local = 0;      ///< gave up in the local (TDgen) search
   long aborted_sequential = 0; ///< gave up in propagation/justification/sync
   long aborted_budget = 0;     ///< per-fault work budget exhausted
+  /// Body evaluations of SEMILET's frame-PODEM delta resettles.
+  long podem_resettle_evals = 0;
 
   // Search-core counters: the incremental engine's work, so speedups on
   // the TDgen hot path stay attributable (--stages prints them and

@@ -79,6 +79,9 @@ std::string format_stage_stats(const StageStats& s) {
      << s.search.probe_full << ", register re-settles "
      << s.search.probe_resettles << ")\n"
      << "  probe memo             hits " << s.search.probe_memo_hits << "\n"
+     << "  undo journals          probe evals " << s.search.probe_evals
+     << ", reverted lifts " << s.search.reverted_lifts
+     << ", podem resettle evals " << s.podem_resettle_evals << "\n"
      << "  sim kernel evals       scalar " << s.sim.scalar_evals
      << ", w64 " << s.sim.lane_evals_64;
   return os.str();

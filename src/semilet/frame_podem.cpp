@@ -72,11 +72,11 @@ void FramePodem::simulate() {
     return;  // still settled from the previous iteration
   }
   // Delta resettle: write the changed boundary values (re-applying the
-  // injection when it sits on one) and replay only their cones. Exactly
-  // equivalent to the full eval_frame above.
+  // injection when it sits on one) and replay only their cones, logging
+  // every write. Exactly equivalent to the full eval_frame above.
   const sim::FlatCircuit& fc = *sim_->flat();
   work_.begin(fc.body_count());
-  bool any = false;
+  const std::size_t first_write = journal_.size();
   for (const auto& [is_ppi, index] : changed_sources_) {
     const net::GateId line =
         is_ppi ? nl_->dffs()[index] : nl_->inputs()[index];
@@ -87,20 +87,20 @@ void FramePodem::simulate() {
     if (v == lines_[line]) {
       continue;
     }
+    journal_.emplace_back(line, lines_[line]);
     lines_[line] = v;
-    track_effect(line);
     for (const std::uint32_t reader : fc.readers(line)) {
       work_.push(reader);
     }
-    any = true;
   }
   changed_sources_.clear();
-  if (any) {
-    sim_->resettle_frame(lines_, work_, injection, &effect_flips_);
-    for (const GateId line : effect_flips_) {
-      track_effect(line);
-    }
-    effect_flips_.clear();
+  if (journal_.size() == first_write) {
+    return;
+  }
+  budget_->note_resettle_evals(
+      sim_->resettle_frame(lines_, work_, injection, &journal_));
+  for (std::size_t i = first_write; i < journal_.size(); ++i) {
+    track_effect(journal_[i].first);
   }
 }
 
@@ -352,7 +352,7 @@ bool FramePodem::backtrace(GateId line, Lv value, Decision* decision) const {
   }
 }
 
-bool FramePodem::apply(const Decision& d) {
+bool FramePodem::apply(Decision d) {
   if (!budget_->note_decision()) {
     aborted_ = true;
     return false;
@@ -365,8 +365,18 @@ bool FramePodem::apply(const Decision& d) {
     pis_[d.index] = d.value;
   }
   changed_sources_.emplace_back(d.is_ppi, d.index);
+  d.mark = journal_.size();
   stack_.push_back(d);
   return true;
+}
+
+void FramePodem::restore(std::size_t mark) {
+  while (journal_.size() > mark) {
+    const auto [line, old] = journal_.back();
+    journal_.pop_back();
+    lines_[line] = old;
+    track_effect(line);
+  }
 }
 
 bool FramePodem::backtrack() {
@@ -374,28 +384,33 @@ bool FramePodem::backtrack() {
     aborted_ = true;
     return false;
   }
-  while (!stack_.empty()) {
-    Decision& d = stack_.back();
-    if (!d.flipped) {
-      d.flipped = true;
-      d.value = negate_bit(d.value);
-      if (d.is_ppi) {
-        state_[d.index] = d.value;
-      } else {
-        pis_[d.index] = d.value;
-      }
-      changed_sources_.emplace_back(d.is_ppi, d.index);
-      return true;
-    }
+  // Every caller backtracks from a settled frame, so each decision's mark
+  // names the settled frame from before it. Popped decisions need no
+  // restore of their own: the one below them restores to an earlier mark.
+  GDF_ASSERT(changed_sources_.empty(), "backtrack from an unsettled frame");
+  while (!stack_.empty() && stack_.back().flipped) {
+    const Decision& d = stack_.back();
     if (d.is_ppi) {
       state_[d.index] = Lv::X;
     } else {
       pis_[d.index] = Lv::X;
     }
-    changed_sources_.emplace_back(d.is_ppi, d.index);
     stack_.pop_back();
   }
-  return false;
+  if (stack_.empty()) {
+    return false;  // exhausted: the frame is never read again
+  }
+  Decision& d = stack_.back();
+  restore(d.mark);
+  d.flipped = true;
+  d.value = negate_bit(d.value);
+  if (d.is_ppi) {
+    state_[d.index] = d.value;
+  } else {
+    pis_[d.index] = d.value;
+  }
+  changed_sources_.emplace_back(d.is_ppi, d.index);
+  return true;
 }
 
 void FramePodem::fill_solution(FrameSolution* out) const {

@@ -75,6 +75,9 @@ class FramePodem {
     std::size_t index = 0;
     sim::Lv value = sim::Lv::X;
     bool flipped = false;
+    /// journal_ size when the decision was applied: restoring to it gives
+    /// back the settled frame from before the decision.
+    std::size_t mark = 0;
   };
 
   void simulate();
@@ -85,7 +88,10 @@ class FramePodem {
   bool hopeless() const;
   bool choose_objective(net::GateId* line, sim::Lv* value) const;
   bool backtrace(net::GateId line, sim::Lv value, Decision* decision) const;
-  bool apply(const Decision& d);
+  bool apply(Decision d);
+  /// Undoes every line write logged after `mark`, newest first, keeping
+  /// the fault-effect set in step with each restored line.
+  void restore(std::size_t mark);
   bool backtrack();
   void fill_solution(FrameSolution* out) const;
 
@@ -98,20 +104,26 @@ class FramePodem {
   sim::StateVec state_;
   std::vector<sim::Lv> lines_;
   std::vector<Decision> stack_;
-  /// Sources (is_ppi, index) assigned or un-assigned since the last
-  /// settle: simulate() replays only their cones instead of re-evaluating
-  /// the frame — the frame-PODEM side of the push/pop-deltas discipline.
+  /// Sources (is_ppi, index) assigned since the last settle: simulate()
+  /// replays only their cones instead of re-evaluating the frame. Only
+  /// decisions and flips land here; un-assignment never replays, because
+  /// backtrack() restores the frame from journal_ instead.
   std::vector<std::pair<bool, std::size_t>> changed_sources_;
+  /// Every line write since the initial full evaluation, (line, old
+  /// value), oldest first. Each decision marks where its writes begin, so
+  /// a backtrack restores the frame from before the decision it flips —
+  /// undoing the popped decisions above it with no evaluation — and then
+  /// replays only the flipped source's cone.
+  sim::LineJournal journal_;
   sim::BitQueue work_;
   bool lines_ready_ = false;
   /// The lines holding D/D', unordered, with each line's
   /// slot in effects_ (kNoSlot when absent) so insert and erase are O(1).
-  /// Maintained from the boundary writes and the resettle's effect flips,
-  /// so hopeless() and choose_objective() start from the few effect lines
+  /// Re-synced for every line a settle writes or a restore puts back, so
+  /// hopeless() and choose_objective() start from the few effect lines
   /// instead of scanning the netlist every iteration.
   std::vector<net::GateId> effects_;
   std::vector<std::uint32_t> effect_slot_;
-  std::vector<net::GateId> effect_flips_;
   /// Reused X-path scratch (hopeless() runs every search iteration).
   /// seen_ is epoch-stamped so a call costs O(reached), not O(circuit).
   mutable std::vector<std::uint32_t> seen_;

@@ -28,6 +28,12 @@ class Budget {
     return decisions_ <= options_.decision_limit;
   }
 
+  /// Adds frame-resettle evaluations spent by a search under this budget
+  /// (work accounting only; never limits anything).
+  void note_resettle_evals(long evaluations) {
+    resettle_evals_ += evaluations;
+  }
+
   bool exhausted() const {
     return backtracks_ > options_.backtrack_limit ||
            decisions_ > options_.decision_limit;
@@ -35,12 +41,14 @@ class Budget {
 
   int backtracks() const { return backtracks_; }
   long decisions() const { return decisions_; }
+  long resettle_evals() const { return resettle_evals_; }
   const SemiletOptions& options() const { return options_; }
 
  private:
   SemiletOptions options_;
   int backtracks_ = 0;
   long decisions_ = 0;
+  long resettle_evals_ = 0;
 };
 
 }  // namespace gdf::semilet

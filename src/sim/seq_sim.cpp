@@ -51,11 +51,9 @@ void SeqSimulator::eval_frame(std::span<const Lv> pis,
   }
 }
 
-void SeqSimulator::resettle_frame(std::vector<Lv>& line_values,
-                                  BitQueue& work,
-                                  const Injection* injection,
-                                  std::vector<net::GateId>* effect_flips)
-    const {
+long SeqSimulator::resettle_frame(std::vector<Lv>& line_values,
+                                  BitQueue& work, const Injection* injection,
+                                  LineJournal* journal) const {
   const FlatCircuit& fc = *fc_;
   const LvOps ops;
   const net::GateId site = injection != nullptr && injection->active()
@@ -63,8 +61,10 @@ void SeqSimulator::resettle_frame(std::vector<Lv>& line_values,
                                : net::kNoGate;
   // Body indices are levelized, so pops ascend through the affected cones
   // with every input final; the wave dies wherever a value is unchanged.
+  long evaluations = 0;
   std::uint32_t b;
   while (work.pop(&b)) {
+    ++evaluations;
     const net::GateId out = fc.body_out()[b];
     Lv v = eval_body(fc, ops, line_values.data(), b);
     if (out == site) {
@@ -73,15 +73,15 @@ void SeqSimulator::resettle_frame(std::vector<Lv>& line_values,
     if (v == line_values[out]) {
       continue;
     }
-    if (effect_flips != nullptr &&
-        is_fault_effect(v) != is_fault_effect(line_values[out])) {
-      effect_flips->push_back(out);
+    if (journal != nullptr) {
+      journal->emplace_back(out, line_values[out]);
     }
     line_values[out] = v;
     for (const std::uint32_t reader : fc.readers(out)) {
       work.push(reader);
     }
   }
+  return evaluations;
 }
 
 StateVec SeqSimulator::next_state(std::span<const Lv> line_values) const {

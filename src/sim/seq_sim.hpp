@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -34,6 +35,9 @@ struct Injection {
 
   bool active() const { return line != net::kNoGate; }
 };
+
+/// Undo log of frame line writes, oldest first: (line, value before).
+using LineJournal = std::vector<std::pair<net::GateId, Lv>>;
 
 class SeqSimulator {
  public:
@@ -63,12 +67,13 @@ class SeqSimulator {
   /// lines' readers() into `work`. Replays only the affected body cones;
   /// the result is exactly eval_frame() over the updated boundary. The
   /// worklist is caller-owned scratch so the simulator stays shareable.
-  /// `effect_flips`, if given, receives every body line whose value
-  /// changed between a fault effect (D/D') and a non-effect — the upkeep
-  /// of an incremental D-frontier, at the cost of one compare per change.
-  void resettle_frame(std::vector<Lv>& line_values, BitQueue& work,
+  /// `journal`, if given, receives (line, old value) for every body line
+  /// written, in write order, so the caller can undo the resettle or
+  /// update whatever it derives from the changed lines. Returns the number
+  /// of body evaluations.
+  long resettle_frame(std::vector<Lv>& line_values, BitQueue& work,
                       const Injection* injection = nullptr,
-                      std::vector<net::GateId>* effect_flips = nullptr) const;
+                      LineJournal* journal = nullptr) const;
 
   /// Next-state vector implied by settled line values (value at each DFF's
   /// data pin).

@@ -21,7 +21,8 @@ TdgenSearch::TdgenSearch(const alg::AtpgModel& model,
       fault_(fault),
       options_(options),
       engine_(model, algebra),
-      sim_(model, algebra) {
+      sim_(model, algebra),
+      probe_memo_(model.pis().size(), model.ppis().size()) {
   GDF_ASSERT(fault.line < model.netlist().size(), "fault line out of range");
   spec_.site = model.head_of(fault.line);
   spec_.slow_to_rise = fault.slow_to_rise;
@@ -209,47 +210,20 @@ bool TdgenSearch::engine_claims_observation() const {
   return false;
 }
 
-namespace {
-
-std::string source_key(const std::vector<VSet>& pi_sets,
-                       const std::vector<unsigned>& ppi_inits) {
-  std::string key;
-  key.reserve(pi_sets.size() + ppi_inits.size());
-  for (const VSet s : pi_sets) {
-    key.push_back(static_cast<char>(s));
-  }
-  for (const unsigned inits : ppi_inits) {
-    key.push_back(static_cast<char>('0' + inits));
-  }
-  return key;
-}
-
-}  // namespace
-
 bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
                                  const std::vector<unsigned>& ppi_inits,
-                                 CheckOutcome* out) const {
-  std::string key = source_key(pi_sets, ppi_inits);
-  if (failed_checks_.contains(key)) {
+                                 bool lift, std::uint32_t* outcome) {
+  probe_memo_.pack(pi_sets, ppi_inits, probe_key_);
+  // Nothing inserts into the memo before this probe returns.
+  ProbeMemo::Entry& entry = probe_memo_.at(probe_key_);
+  if (entry.failed) {
     return false;
   }
-  if (options_.learn) {
-    // The whole check is a pure function of the source vector, so a
-    // repeated probe returns the memoized outcome. Byte-equivalent to
-    // resimulating: rerun_sources replays exactly from any cached base.
-    const auto hit = success_checks_.find(key);
-    if (hit != success_checks_.end()) {
-      ++probe_counters_.probe_memo_hits;
-      if (out != nullptr) {
-        *out = hit->second;
-      }
-      return true;
-    }
+  if (options_.learn && entry.succeeded) {
+    ++probe_counters_.probe_memo_hits;
+    *outcome = entry.outcome;
+    return true;
   }
-  const auto fail = [&]() {
-    failed_checks_.insert(std::move(key));
-    return false;
-  };
   alg::TwoFrameStimulus stimulus;
   stimulus.pi_sets = pi_sets;
   // The PPI final-frame component is produced by the register from the PPO
@@ -264,15 +238,19 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
         alg::vset_with_initial_in(alg::kPrimaryDomain, inits));
   }
 
-  // Cone-scoped probe: probe_sets_ keeps the previous probe's settled
+  // Cone-scoped probe: probe_sets_ keeps an earlier probe's settled
   // post-fixpoint state, so each probe replays only the cones of the
   // sources that differ from it, in one replay unless the pruned PPI
-  // finals differ from the previous probe's. Exactly equivalent to a fresh
-  // full pass plus fixpoint, which is what the first probe (and only it)
-  // runs.
+  // finals differ from the cached ones. Exactly equivalent to a fresh full
+  // pass plus fixpoint, which is what the first probe (and only it) runs.
+  // A lift probe is journaled so that, rejected, it is undone rather than
+  // left for the next probe to replay back. Lifts follow a probe of their
+  // leaf's vector (run, or memoized by an earlier run), so they are warm.
   ++probe_counters_.probe_runs;
   const alg::RegisterSettle settled =
-      sim_.settle_registers(stimulus, &spec_, probe_sets_, probe_ready_);
+      sim_.settle_registers(stimulus, &spec_, probe_sets_, probe_ready_,
+                            lift ? &probe_journal_ : nullptr);
+  probe_counters_.probe_evals += settled.evaluations;
   if (probe_ready_) {
     ++probe_counters_.probe_cone;
   } else {
@@ -282,6 +260,14 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
   if (settled.resettles > 0) {
     ++probe_counters_.probe_resettles;
   }
+  const auto fail = [&]() {
+    entry.failed = true;
+    if (lift) {
+      alg::revert(probe_journal_, probe_sets_);
+      ++probe_counters_.reverted_lifts;
+    }
+    return false;
+  };
   if (!settled.consistent) {
     return fail();  // no register-consistent execution
   }
@@ -312,19 +298,20 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
           observed.end()) {
     return fail();
   }
-  CheckOutcome result;
-  result.stimulus = std::move(stimulus);
-  result.ppo_sets.reserve(model_->ppis().size());
-  for (std::size_t k = 0; k < model_->ppis().size(); ++k) {
-    result.ppo_sets.push_back(sim_sets[model_->ppo_node(k)]);
+  probe_journal_.clear();
+  if (!entry.succeeded) {
+    CheckOutcome result;
+    result.stimulus = std::move(stimulus);
+    result.ppo_sets.reserve(model_->ppis().size());
+    for (std::size_t k = 0; k < model_->ppis().size(); ++k) {
+      result.ppo_sets.push_back(sim_sets[model_->ppo_node(k)]);
+    }
+    result.observed = std::move(observed);
+    entry.succeeded = true;
+    entry.outcome = static_cast<std::uint32_t>(probe_outcomes_.size());
+    probe_outcomes_.push_back(std::move(result));
   }
-  result.observed = std::move(observed);
-  if (options_.learn) {
-    success_checks_.emplace(std::move(key), result);
-  }
-  if (out != nullptr) {
-    *out = std::move(result);
-  }
+  *outcome = entry.outcome;
   return true;
 }
 
@@ -353,12 +340,15 @@ bool TdgenSearch::verified_solution(LocalTest* out) {
   // A repeat of an already-verified source vector deterministically
   // reproduces the earlier outcome, which by now is either a known failure
   // or a duplicate of a published test — both answer false.
-  if (!checked_entries_.insert(source_key(pi_sets, ppi_inits)).second) {
+  probe_memo_.pack(pi_sets, ppi_inits, probe_key_);
+  ProbeMemo::Entry& entry = probe_memo_.at(probe_key_);
+  if (entry.checked) {
     return false;
   }
+  entry.checked = true;
 
-  CheckOutcome best;
-  if (!check_stimulus(pi_sets, ppi_inits, &best)) {
+  std::uint32_t best = 0;
+  if (!check_stimulus(pi_sets, ppi_inits, false, &best)) {
     return false;
   }
 
@@ -373,10 +363,7 @@ bool TdgenSearch::verified_solution(LocalTest* out) {
     }
     const unsigned saved = ppi_inits[k];
     ppi_inits[k] = 0b11u;
-    CheckOutcome lifted;
-    if (check_stimulus(pi_sets, ppi_inits, &lifted)) {
-      best = std::move(lifted);
-    } else {
+    if (!check_stimulus(pi_sets, ppi_inits, true, &best)) {
       ppi_inits[k] = saved;
     }
   }
@@ -389,45 +376,35 @@ bool TdgenSearch::verified_solution(LocalTest* out) {
     }
     const VSet saved = pi_sets[i];
     pi_sets[i] = wide;
-    CheckOutcome lifted;
-    if (check_stimulus(pi_sets, ppi_inits, &lifted)) {
-      best = std::move(lifted);
-    } else {
+    if (!check_stimulus(pi_sets, ppi_inits, true, &best)) {
       pi_sets[i] = saved;
     }
   }
 
   // Distinct-solution guarantee for the resumable enumeration: different
   // internal search states can lift to the same published test.
-  std::string key;
-  key.reserve(best.stimulus.pi_sets.size() +
-              best.stimulus.ppi_sets.size());
-  for (const VSet s : best.stimulus.pi_sets) {
-    key.push_back(static_cast<char>(s));
-  }
-  for (const VSet s : best.stimulus.ppi_sets) {
-    key.push_back(static_cast<char>(s));
-  }
-  if (!published_.insert(key).second) {
+  CheckOutcome& lifted = probe_outcomes_[best];
+  if (lifted.published) {
     return false;
   }
+  lifted.published = true;
 
   if (out != nullptr) {
-    out->pi_sets = best.stimulus.pi_sets;
-    out->ppi_sets = best.stimulus.ppi_sets;
-    out->ppo_sets = best.ppo_sets;
-    out->observed = best.observed;
+    out->pi_sets = lifted.stimulus.pi_sets;
+    out->ppi_sets = lifted.stimulus.ppi_sets;
+    out->ppo_sets = lifted.ppo_sets;
+    out->observed = lifted.observed;
     out->observed_at_po = false;
     out->observed_ppos.clear();
-    for (const NodeId obs : best.observed) {
+    for (const NodeId obs : lifted.observed) {
       if (model_->node(obs).is_po) {
         out->observed_at_po = true;
       }
     }
     for (std::size_t k = 0; k < model_->ppis().size(); ++k) {
       const NodeId ppo = model_->ppo_node(k);
-      if (std::find(best.observed.begin(), best.observed.end(), ppo) !=
-          best.observed.end()) {
+      if (std::find(lifted.observed.begin(), lifted.observed.end(), ppo) !=
+          lifted.observed.end()) {
         out->observed_ppos.push_back(k);
       }
     }

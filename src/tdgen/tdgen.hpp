@@ -18,11 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "algebra/frame_sim.hpp"
@@ -30,6 +26,7 @@
 #include "tdgen/fault.hpp"
 #include "tdgen/implication.hpp"
 #include "tdgen/local_test.hpp"
+#include "tdgen/probe_memo.hpp"
 
 namespace gdf::tdgen {
 
@@ -80,6 +77,9 @@ struct SearchCounters {
   /// Probe runs whose pruned PPI finals differed from the cached ones and
   /// needed a second, small replay.
   long probe_resettles = 0;
+  long probe_evals = 0;  ///< node evaluations of every probe run
+  /// Rejected don't-care lifts undone from their journal, not replayed.
+  long reverted_lifts = 0;
 
   void add(const SearchCounters& other) {
     implication_assigns += other.implication_assigns;
@@ -103,6 +103,8 @@ struct SearchCounters {
     probe_full += other.probe_full;
     probe_memo_hits += other.probe_memo_hits;
     probe_resettles += other.probe_resettles;
+    probe_evals += other.probe_evals;
+    reverted_lifts += other.reverted_lifts;
   }
 };
 
@@ -251,6 +253,10 @@ class TdgenSearch {
     /// solution needs, and compact enough to memoize per source vector.
     std::vector<alg::VSet> ppo_sets;
     std::vector<alg::NodeId> observed;
+    /// Handed out by next() already. The stimulus is a function of the
+    /// source vector and back (pruning keeps every PPI initial), so one
+    /// outcome per source vector is one distinct published test.
+    bool published = false;
   };
 
   bool start();
@@ -286,9 +292,12 @@ class TdgenSearch {
   bool push_decision(alg::NodeId node, alg::VSet try_set);
   bool carrier_possible_at_observation() const;
   bool engine_claims_observation() const;
+  /// Verification probe of one source vector. On success `*outcome` is
+  /// the index of its memoized outcome in probe_outcomes_. A `lift` probe
+  /// is journaled, and reverted when it fails.
   bool check_stimulus(const std::vector<alg::VSet>& pi_sets,
-                      const std::vector<unsigned>& ppi_inits,
-                      CheckOutcome* out) const;
+                      const std::vector<unsigned>& ppi_inits, bool lift,
+                      std::uint32_t* outcome);
   bool verified_solution(LocalTest* out);
   TdgenStatus exhausted_status() const;
 
@@ -308,31 +317,32 @@ class TdgenSearch {
   /// one search's work once, however often next() resumes.
   long budget_charged_ = 0;
   std::vector<Decision> stack_;
-  std::set<std::string> published_;
-  /// Source-set vectors (PIs + PPI initials) already taken through
-  /// verification. Different search leaves frequently share identical
-  /// primary assignments (decisions on internal nodes do not move the
-  /// sources), and verification is a pure function of the sources, so a
-  /// repeat can only reproduce the earlier outcome — which by then is a
-  /// duplicate. Skipping it is behavior-identical and avoids the
-  /// simulation entirely.
-  std::unordered_set<std::string> checked_entries_;
-  /// check_stimulus inputs that already failed (the check is deterministic,
-  /// so they fail forever) — mostly hit by the don't-care lifting probes.
-  mutable std::unordered_set<std::string> failed_checks_;
-  /// Successful probe outcomes by source key (--learn only): the check is
-  /// a pure function of the sources, so a repeat returns the cached
-  /// outcome instead of resimulating. Byte-equivalent either way —
-  /// rerun_sources replays against any cached base state exactly.
-  mutable std::unordered_map<std::string, CheckOutcome> success_checks_;
-  /// The cone-scoped probe cache: node sets settled under the last
+  /// Verification is a pure function of the source vector (PI sets + PPI
+  /// initials), so one memo entry per vector answers every repeat:
+  ///  * checked — taken through verification as a search leaf. Leaves
+  ///    often share sources (decisions on internal nodes do not move
+  ///    them), and a repeat can only reproduce a known failure or a
+  ///    duplicate test, so it is skipped;
+  ///  * failed — fails forever; mostly hit by the don't-care lifting
+  ///    probes;
+  ///  * succeeded — the outcome sits in probe_outcomes_. With --learn a
+  ///    repeat returns it instead of resimulating; without, it still
+  ///    resimulates (the probe counters stay those of the chronological
+  ///    search) but the outcome is the one stored.
+  ProbeMemo probe_memo_;
+  std::vector<CheckOutcome> probe_outcomes_;
+  std::vector<std::uint64_t> probe_key_;
+  /// The cone-scoped probe cache: node sets settled under some earlier
   /// probe's register-pruned sources. A new probe replays only the cones
-  /// of the sources that differ from them (TwoFrameSim::settle_registers)
-  /// — for the don't-care lifting probes that is a single source. Exactly
-  /// equivalent to a fresh full pass per probe.
-  mutable std::vector<alg::VSet> probe_sets_;
-  mutable bool probe_ready_ = false;
-  mutable SearchCounters probe_counters_;
+  /// of the sources that differ from them (TwoFrameSim::settle_registers),
+  /// exactly equivalent to a fresh full pass. A lift probe logs its writes
+  /// to probe_journal_; a rejected lift is reverted from it, so the cache
+  /// stays at the last accepted vector and the next lift replays only its
+  /// own source's cone.
+  std::vector<alg::VSet> probe_sets_;
+  alg::SetJournal probe_journal_;
+  bool probe_ready_ = false;
+  SearchCounters probe_counters_;
   /// Conflict-analysis scratch reused across conflicts.
   Analysis analysis_;
   std::vector<std::uint8_t> involved_levels_;

@@ -24,7 +24,7 @@ bool carrier_only(VSet s) {
 }  // namespace
 
 bool Tdsim::credited(const TdsimRequest& request,
-                     std::span<const alg::VSet> fault_free,
+                     std::span<const alg::VSet> fault_free_ppos,
                      std::span<const alg::VSet> injected) const {
   for (const NodeId obs : model_->observation_points()) {
     if (model_->node(obs).is_po && carrier_only(injected[obs])) {
@@ -46,8 +46,7 @@ bool Tdsim::credited(const TdsimRequest& request,
       if (q == k) {
         continue;
       }
-      const NodeId needed = model_->ppo_node(q);
-      if (injected[needed] != fault_free[needed]) {
+      if (injected[model_->ppo_node(q)] != fault_free_ppos[q]) {
         invalidates = true;
         break;
       }
@@ -62,17 +61,25 @@ bool Tdsim::credited(const TdsimRequest& request,
 std::vector<bool> Tdsim::detect_exact(
     const TdsimRequest& request,
     std::span<const tdgen::DelayFault> faults) const {
-  std::vector<VSet> fault_free;
-  sim_.run(request.stimulus, nullptr, fault_free);
-  std::vector<VSet> injected;
+  // One buffer holds the fault-free pass; each fault replays its cone on
+  // it and the journal puts the fault-free sets back afterwards.
+  std::vector<VSet> sets;
+  sim_.run(request.stimulus, nullptr, sets);
+  std::vector<VSet> fault_free_ppos;
+  fault_free_ppos.reserve(model_->ppis().size());
+  for (std::size_t k = 0; k < model_->ppis().size(); ++k) {
+    fault_free_ppos.push_back(sets[model_->ppo_node(k)]);
+  }
+  alg::SetJournal journal;
   std::vector<bool> detected(faults.size(), false);
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const NodeId site = model_->head_of(faults[i].line);
-    if (!activated(fault_free[site], faults[i].slow_to_rise)) {
+    if (!activated(sets[site], faults[i].slow_to_rise)) {
       continue;
     }
-    sim_.run_injected(fault_free, {site, faults[i].slow_to_rise}, injected);
-    detected[i] = credited(request, fault_free, injected);
+    sim_.inject({site, faults[i].slow_to_rise}, sets, journal);
+    detected[i] = credited(request, fault_free_ppos, sets);
+    alg::revert(journal, sets);
   }
   return detected;
 }

@@ -10,7 +10,7 @@
 //
 // Each activated fault is injected exactly: its carrier replaces the site's
 // value and only the site's fanout cone is replayed over the shared
-// fault-free pass.
+// fault-free pass, which an undo journal restores before the next fault.
 #pragma once
 
 #include <span>
@@ -45,8 +45,9 @@ class Tdsim {
       std::span<const tdgen::DelayFault> faults) const;
 
  private:
+  /// `fault_free_ppos` holds the good machine's PPO sets, indexed by DFF.
   bool credited(const TdsimRequest& request,
-                std::span<const alg::VSet> fault_free,
+                std::span<const alg::VSet> fault_free_ppos,
                 std::span<const alg::VSet> injected) const;
 
   const alg::AtpgModel* model_;

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "algebra/frame_sim.hpp"
 #include "base/rng.hpp"
 #include "circuits/catalog.hpp"
 #include "circuits/embedded.hpp"
 #include "netlist/fanout.hpp"
+#include "tdgen/probe_memo.hpp"
 
 namespace gdf::alg {
 namespace {
@@ -242,8 +245,9 @@ struct InjectedCase {
 class InjectedReplay : public ::testing::TestWithParam<InjectedCase> {};
 
 TEST_P(InjectedReplay, MatchesFaultedFullRunAtEverySite) {
-  // run_injected replays only the site's cone over a fault-free baseline;
-  // it must equal a full faulted pass at every fault site and polarity.
+  // inject replays only the site's cone over a fault-free pass; it must
+  // equal a full faulted pass at every fault site and polarity, and its
+  // journal must give the fault-free pass back.
   const net::Netlist nl =
       net::expand_fanout_branches(circuits::load_circuit(GetParam().circuit));
   const AtpgModel model(nl);
@@ -266,12 +270,13 @@ TEST_P(InjectedReplay, MatchesFaultedFullRunAtEverySite) {
     }
     std::vector<VSet> baseline;
     sim.run(stimulus, nullptr, baseline);
-    std::vector<VSet> injected;
+    std::vector<VSet> injected = baseline;
     std::vector<VSet> reference;
+    SetJournal journal;
     for (NodeId site = 0; site < model.node_count(); ++site) {
       for (const bool slow_to_rise : {true, false}) {
         const FaultSpec fault{site, slow_to_rise};
-        sim.run_injected(baseline, fault, injected);
+        sim.inject(fault, injected, journal);
         sim.run(stimulus, &fault, reference);
         ASSERT_EQ(injected, reference)
             << GetParam().circuit << " pattern " << pattern << " site "
@@ -282,6 +287,10 @@ TEST_P(InjectedReplay, MatchesFaultedFullRunAtEverySite) {
             break;
           }
         }
+        revert(journal, injected);
+        ASSERT_EQ(injected, baseline)
+            << GetParam().circuit << " pattern " << pattern << " site "
+            << site << (slow_to_rise ? " StR" : " StF") << " revert";
       }
     }
   }
@@ -297,6 +306,162 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<InjectedCase>& info) {
       return info.param.circuit;
     });
+
+class JournaledProbe : public ::testing::TestWithParam<InjectedCase> {};
+
+TEST_P(JournaledProbe, RevertRestoresAndAcceptMatchesColdSettle) {
+  // The don't-care lifting discipline of TDgen's verification probes: from
+  // a settled probe state, widen one source toward X and settle warm with
+  // a journal. A reverted probe must leave the node sets byte-equal to the
+  // state before it; an accepted one must equal a cold run() plus settle
+  // of the widened sources, whatever mix of accepts and reverts led there.
+  const net::Netlist nl =
+      net::expand_fanout_branches(circuits::load_circuit(GetParam().circuit));
+  const AtpgModel model(nl);
+  const TwoFrameSim sim(model, robust_algebra());
+  Rng rng(GetParam().seed);
+  const std::size_t n_pis = model.pis().size();
+  const std::size_t n_ppis = model.ppis().size();
+  const auto stimulus_of = [&](const std::vector<VSet>& pi_sets,
+                               const std::vector<unsigned>& ppi_inits) {
+    TwoFrameStimulus s;
+    s.pi_sets = pi_sets;
+    for (const unsigned inits : ppi_inits) {
+      s.ppi_sets.push_back(vset_with_initial_in(kPrimaryDomain, inits));
+    }
+    return s;
+  };
+  int reverted = 0;
+  int accepted = 0;
+  for (int round = 0; round < 12; ++round) {
+    const FaultSpec fault{
+        static_cast<NodeId>(rng.next_below(model.node_count())),
+        rng.next_bool()};
+    std::vector<VSet> pi_sets(n_pis);
+    for (VSet& s : pi_sets) {
+      s = vset_primary_from_frames(static_cast<int>(rng.next_below(2)),
+                                   static_cast<int>(rng.next_below(2)));
+    }
+    std::vector<unsigned> ppi_inits(n_ppis);
+    for (unsigned& inits : ppi_inits) {
+      inits = 1u + static_cast<unsigned>(rng.next_below(2));
+    }
+    std::vector<VSet> probe;
+    TwoFrameStimulus first = stimulus_of(pi_sets, ppi_inits);
+    sim.settle_registers(first, &fault, probe, false);
+    SetJournal journal;
+    for (int lift = 0; lift < 24; ++lift) {
+      const std::size_t pick = rng.next_below(n_pis + n_ppis);
+      std::vector<VSet> lifted_pis = pi_sets;
+      std::vector<unsigned> lifted_inits = ppi_inits;
+      if (pick < n_pis) {
+        lifted_pis[pick] = kPrimaryDomain;
+      } else {
+        lifted_inits[pick - n_pis] = 0b11u;
+      }
+      TwoFrameStimulus s = stimulus_of(lifted_pis, lifted_inits);
+      const std::vector<VSet> before = probe;
+      const RegisterSettle settled =
+          sim.settle_registers(s, &fault, probe, true, &journal);
+      if (!settled.consistent || rng.next_bool()) {
+        revert(journal, probe);
+        ASSERT_EQ(probe, before) << GetParam().circuit << " round " << round
+                                 << " lift " << lift;
+        ++reverted;
+        continue;
+      }
+      journal.clear();
+      TwoFrameStimulus cold_stimulus = stimulus_of(lifted_pis, lifted_inits);
+      std::vector<VSet> cold;
+      ASSERT_TRUE(
+          sim.settle_registers(cold_stimulus, &fault, cold, false).consistent);
+      ASSERT_EQ(probe, cold) << GetParam().circuit << " round " << round
+                             << " lift " << lift;
+      ASSERT_EQ(s.ppi_sets, cold_stimulus.ppi_sets);
+      pi_sets = lifted_pis;
+      ppi_inits = lifted_inits;
+      ++accepted;
+    }
+  }
+  EXPECT_GT(reverted, 20);
+  EXPECT_GT(accepted, 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Circuits, JournaledProbe,
+    ::testing::Values(InjectedCase{"c17", 21}, InjectedCase{"s27", 22},
+                      InjectedCase{"s298", 23}, InjectedCase{"s386", 24}),
+    [](const ::testing::TestParamInfo<InjectedCase>& info) {
+      return info.param.circuit;
+    });
+
+TEST(ProbeMemoKey, DistinctSourceVectorsNeverShareAKey) {
+  // Exhaustive over a 3-PI, 2-PPI source space: all 16^3 * 4^2 vectors get
+  // distinct keys and distinct memo entries.
+  tdgen::ProbeMemo memo(3, 2);
+  std::vector<std::uint64_t> key;
+  std::map<std::vector<std::uint64_t>, std::uint32_t> seen;
+  std::uint32_t vectors = 0;
+  for (unsigned code = 0; code < (1u << 16); ++code) {
+    const std::vector<VSet> pi_sets = {static_cast<VSet>(code & 0xF),
+                                       static_cast<VSet>((code >> 4) & 0xF),
+                                       static_cast<VSet>((code >> 8) & 0xF)};
+    const std::vector<unsigned> ppi_inits = {(code >> 12) & 3u,
+                                             (code >> 14) & 3u};
+    memo.pack(pi_sets, ppi_inits, key);
+    ASSERT_TRUE(seen.emplace(key, code).second) << "code " << code;
+    tdgen::ProbeMemo::Entry& entry = memo.at(key);
+    ASSERT_FALSE(entry.succeeded) << "code " << code;
+    entry.succeeded = true;
+    entry.outcome = code;
+    ++vectors;
+  }
+  ASSERT_EQ(memo.size(), vectors);
+  for (const auto& [k, code] : seen) {
+    ASSERT_EQ(memo.at(k).outcome, code);
+  }
+  ASSERT_EQ(memo.size(), vectors);
+
+  // Multi-word keys: random vectors over 21 PIs and 31 PPIs (146 bits)
+  // collide only when they are equal.
+  tdgen::ProbeMemo wide(21, 31);
+  EXPECT_EQ(wide.key_words(), 3u);
+  Rng rng(5);
+  std::map<std::vector<std::uint64_t>,
+           std::pair<std::vector<VSet>, std::vector<unsigned>>>
+      sources;
+  for (int n = 0; n < 4000; ++n) {
+    std::vector<VSet> pi_sets(21);
+    for (VSet& s : pi_sets) {
+      s = static_cast<VSet>(rng.next_below(4) == 0 ? kPrimaryDomain
+                                                   : rng.next_below(16));
+    }
+    std::vector<unsigned> ppi_inits(31);
+    for (unsigned& inits : ppi_inits) {
+      inits = static_cast<unsigned>(rng.next_below(4));
+    }
+    wide.pack(pi_sets, ppi_inits, key);
+    const auto [it, fresh] =
+        sources.emplace(key, std::pair{pi_sets, ppi_inits});
+    if (!fresh) {
+      ASSERT_EQ(it->second.first, pi_sets);
+      ASSERT_EQ(it->second.second, ppi_inits);
+    }
+    wide.at(key);
+  }
+  EXPECT_EQ(wide.size(), sources.size());
+}
+
+TEST(ProbeMemoKey, OutOfDomainSourceIsFatal) {
+  const tdgen::ProbeMemo memo(2, 1);
+  std::vector<std::uint64_t> key;
+  const std::vector<VSet> carrier_pi = {kPrimaryDomain, vset_of(V8::RiseC)};
+  EXPECT_DEATH(memo.pack(carrier_pi, std::vector<unsigned>{1}, key),
+               "PI set outside the primary domain");
+  const std::vector<VSet> clean_pis = {kPrimaryDomain, kPrimaryDomain};
+  EXPECT_DEATH(memo.pack(clean_pis, std::vector<unsigned>{4}, key),
+               "PPI initials outside");
+}
 
 TEST_F(C17FrameSim, StimulusSizeMismatchIsFatal) {
   TwoFrameStimulus s;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
+#include "base/rng.hpp"
 #include "circuits/catalog.hpp"
 #include "circuits/embedded.hpp"
 #include "netlist/builder.hpp"
@@ -185,6 +187,105 @@ TEST(FramePodemObserve, EnumerationDigestPinned) {
             0x9d1a729df24a8501ull);
   EXPECT_EQ(observe_enumeration_digest(circuits::load_circuit("s838")),
             0x4f81fc93b2640f0dull);
+}
+
+/// Enumerates `podem` to the end and checks every solution's settled frame
+/// against a full eval_frame of its PIs and its state (the in-state with
+/// the solution's PPI assignments applied). Returns the solution count.
+int check_solution_frames(const sim::SeqSimulator& simulator,
+                          FramePodem& podem, const StateVec& in_state,
+                          const sim::Injection& injection,
+                          const std::string& where) {
+  int solutions = 0;
+  std::vector<Lv> reference;
+  FrameSolution sol;
+  while (podem.next(&sol) == PodemStatus::Solution) {
+    StateVec state = in_state;
+    for (const auto& [index, value] : sol.ppi_assignments) {
+      state[index] = value;
+    }
+    simulator.eval_frame(sol.pis, state, reference,
+                         injection.active() ? &injection : nullptr);
+    EXPECT_EQ(sol.line_values, reference) << where << " solution "
+                                          << solutions;
+    if (sol.line_values != reference) {
+      break;
+    }
+    ++solutions;
+  }
+  return solutions;
+}
+
+TEST(FramePodemUndo, EverySolutionFrameMatchesFullEvaluation) {
+  // Backtracking restores lines from the decision journal instead of
+  // re-simulating, so any missed restore leaves a stale line in the next
+  // solution's frame. Enumerate ObserveFault (D/D' at a state bit, or a
+  // stuck-at injection chased from its activation) and JustifyValues
+  // (objectives taken from a random full evaluation) searches to the end.
+  for (const char* name : {"s27", "s208", "s298", "s386"}) {
+    const net::Netlist nl = circuits::load_circuit(name);
+    const sim::SeqSimulator simulator(nl);
+    const std::size_t ffs = nl.dffs().size();
+    Rng rng(0x5eed);
+    SemiletOptions options;
+    options.backtrack_limit = 400;
+    int solutions = 0;
+    for (int round = 0; round < 16; ++round) {
+      const std::string where = std::string(name) + " round " +
+                                std::to_string(round);
+      {
+        Budget budget(options);
+        PodemRequest request;
+        request.mode = PodemMode::ObserveFault;
+        request.in_state.assign(ffs, Lv::X);
+        request.assignable_ppi.assign(ffs, true);
+        if (round % 2 == 0) {
+          const std::size_t ff = rng.next_below(ffs);
+          request.in_state[ff] = rng.next_bool() ? Lv::D : Lv::Dbar;
+          request.assignable_ppi[ff] = false;
+        } else {
+          const auto line =
+              static_cast<net::GateId>(rng.next_below(nl.size()));
+          const Lv stuck = rng.next_bool() ? Lv::One : Lv::Zero;
+          request.injection = {line, stuck};
+          request.activation_line = line;
+          request.activation_value = stuck == Lv::One ? Lv::Zero : Lv::One;
+        }
+        const StateVec in_state = request.in_state;
+        const sim::Injection injection = request.injection;
+        FramePodem podem(simulator, budget, std::move(request));
+        solutions += check_solution_frames(simulator, podem, in_state,
+                                           injection, where + " observe");
+      }
+      {
+        sim::InputVec pis(nl.inputs().size());
+        for (Lv& v : pis) {
+          v = rng.next_bool() ? Lv::One : Lv::Zero;
+        }
+        StateVec state(ffs);
+        for (Lv& v : state) {
+          v = rng.next_bool() ? Lv::One : Lv::Zero;
+        }
+        std::vector<Lv> lines;
+        simulator.eval_frame(pis, state, lines);
+        Budget budget(options);
+        PodemRequest request;
+        request.mode = PodemMode::JustifyValues;
+        request.in_state.assign(ffs, Lv::X);
+        request.assignable_ppi.assign(ffs, true);
+        for (int k = 0; k < 3; ++k) {
+          const auto line =
+              static_cast<net::GateId>(rng.next_below(nl.size()));
+          request.objectives.emplace_back(line, lines[line]);
+        }
+        const StateVec in_state = request.in_state;
+        FramePodem podem(simulator, budget, std::move(request));
+        solutions += check_solution_frames(simulator, podem, in_state, {},
+                                           where + " justify");
+      }
+    }
+    EXPECT_GT(solutions, 50) << name;
+  }
 }
 
 TEST(PropagatorTest, OneFramePath) {
